@@ -107,6 +107,9 @@ impl Client {
     /// Connection failure or a non-greeting first line.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // Each command is a line and its newline in separate writes;
+        // Nagle would hold the newline back for the server's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = Client { reader: BufReader::new(stream), writer };
         let greeting = client.read_line()?;

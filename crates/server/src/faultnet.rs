@@ -225,6 +225,10 @@ fn pump_connection(
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
+    // Forward each read as soon as it lands, like the endpoints do: a
+    // Nagle-delayed leg would add its own stall to every verb.
+    let _ = client.set_nodelay(true);
+    let _ = server.set_nodelay(true);
     let (Ok(client_rd), Ok(server_rd)) = (client.try_clone(), server.try_clone()) else {
         return;
     };

@@ -282,6 +282,9 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(io_timeout)?;
     stream.set_write_timeout(io_timeout)?;
+    // Replies go out in several writes; with Nagle on, the tail of one
+    // waits for the client's delayed ACK of the head (tens of ms a verb).
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     writeln!(writer, "{GREETING}")?;

@@ -205,13 +205,14 @@ impl SweepSpec {
     /// The campaign this spec describes. Retry policy matches the
     /// bench sweep binary so daemon reports byte-match local runs.
     pub fn campaign(&self) -> Campaign {
-        let mut attack = VoltBootAttack::new(self.probe.as_str()).passes(self.passes);
-        if let Some(c) = self.temp_c {
-            attack = attack.cycle(PowerCycleSpec {
+        // The default spec's cycle (500 ms at room temperature) is exactly
+        // `PowerCycleSpec::quick()`, the cycle local runs use, so default
+        // reports byte-match them.
+        let attack =
+            VoltBootAttack::new(self.probe.as_str()).passes(self.passes).cycle(PowerCycleSpec {
                 off_duration: Duration::from_millis(self.off_ms),
-                temperature: Temperature::from_celsius(c),
+                temperature: self.temp_c.map_or(Temperature::ROOM, Temperature::from_celsius),
             });
-        }
         let plan = FaultPlan::new(self.fault_seed, FaultRates::uniform(self.rate));
         let mut campaign = Campaign::new(attack, plan, self.reps)
             .retry(RetryPolicy { max_attempts: 3, initial_backoff_ns: 50_000_000 });
@@ -298,6 +299,19 @@ mod tests {
         ] {
             assert!(SweepSpec::parse([bad]).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn off_ms_applies_without_temp_c() {
+        // An unset temp_c means room temperature, exactly.
+        assert_eq!(Temperature::from_celsius(25.0), Temperature::ROOM);
+        let report = |tokens: &[&str]| {
+            let spec = SweepSpec::parse(tokens.iter().copied()).unwrap();
+            spec.campaign().run(spec.victim()).to_json()
+        };
+        let room_implied = report(&["reps=1", "off_ms=0"]);
+        let room_explicit = report(&["reps=1", "off_ms=0", "temp_c=25"]);
+        assert_eq!(room_implied, room_explicit, "off_ms=0 must not fall back to a 500 ms cycle");
     }
 
     #[test]

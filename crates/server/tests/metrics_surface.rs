@@ -9,7 +9,9 @@
 //! * `HEALTH` reports ready on a healthy daemon and flips to not-ready
 //!   when a shard is quarantined or the daemon drains;
 //! * a daemon restarted on a journaled state dir surfaces its recovery
-//!   stats (`jobs_recovered`, replayed records) in the next scrape.
+//!   stats (`jobs_recovered`, replayed records) in the next scrape;
+//! * verbs answer without Nagle stalls: 100 sequential `PING`s on
+//!   loopback finish well inside a second.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -57,6 +59,34 @@ fn sample(text: &str, prefix: &str) -> Option<f64> {
         .find(|l| l.starts_with(prefix) && !l.starts_with('#'))
         .and_then(|l| l.rsplit(' ').next())
         .and_then(|v| v.parse().ok())
+}
+
+/// A command goes out as a line and its newline in two writes, and some
+/// replies in several; on sockets without `TCP_NODELAY` every verb waits
+/// for a delayed ACK (≈44–88 ms on Linux loopback), so 100 pings would
+/// take seconds.
+#[test]
+fn sequential_pings_do_not_stall_on_delayed_acks() {
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        ServerOptions {
+            executors: 1,
+            io_timeout: Some(Duration::from_secs(10)),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local_addr").to_string();
+    std::thread::spawn(move || server.serve());
+
+    let mut client = probe(&addr);
+    let started = Instant::now();
+    for _ in 0..100 {
+        client.ping().expect("PING");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "100 sequential pings took {elapsed:?}");
+    let _ = probe(&addr).shutdown();
 }
 
 #[test]

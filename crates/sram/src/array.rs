@@ -379,7 +379,7 @@ impl SramArray {
             let dist = self.config.distribution;
             if batch {
                 let planes = self.planes(rec);
-                engine::sample_all(&mut self.data, &planes, self.seed, &dist, event_id);
+                engine::sample_all(&mut self.data, &planes, event_id);
             } else {
                 for i in 0..self.config.bits {
                     let v = CellParams::sample_powerup_only(self.seed, i, &dist, event_id);
@@ -387,7 +387,6 @@ impl SramArray {
                 }
             }
         } else if batch {
-            let dist = self.config.distribution;
             let planes = self.planes(rec);
             // The rep-delta sparse path serves `Batched` resolves whose
             // `(die, condition)` has a settled baseline; everything else
@@ -396,29 +395,12 @@ impl SramArray {
             // output is byte-identical, so no resolution counter records
             // which path ran — that choice is scheduling-dependent.
             let via_delta = if mode == ResolutionMode::Batched {
-                crate::delta::resolve_delta(
-                    &mut self.data,
-                    &planes,
-                    self.seed,
-                    &dist,
-                    event,
-                    stress,
-                    event_id,
-                )
+                crate::delta::resolve_delta(&mut self.data, &planes, event, stress, event_id)
             } else {
                 None
             };
             retained = via_delta.unwrap_or_else(|| {
-                engine::resolve(
-                    &mut self.data,
-                    &planes,
-                    self.seed,
-                    &dist,
-                    event,
-                    stress,
-                    event_id,
-                    wide,
-                )
+                engine::resolve(&mut self.data, &planes, event, stress, event_id, wide)
             });
             lost = self.config.bits - retained;
         } else {

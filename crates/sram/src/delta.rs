@@ -38,7 +38,8 @@
 //! * **Hot words.** `keep` is stored as `keep | !valid`, so
 //!   `data & keep` preserves tail-word padding bits exactly like the
 //!   dense path's `data & !lost` (padding is never lost). The strong-1
-//!   contribution is the same plane row masked by the same lost mask.
+//!   contribution is the power-up block's strong-1 mask ANDed with the
+//!   same lost mask.
 //! * **Metastable samples.** Both paths call the *same*
 //!   [`engine::sample_meta_word`] kernel with the same hoisted
 //!   `event_base(seed, event_id)` and the same **absolute** cell
@@ -72,7 +73,6 @@
 
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
-use crate::cell::CellDistribution;
 use crate::engine::{self, DiePlanes};
 use crate::rng;
 use std::cell::RefCell;
@@ -86,11 +86,9 @@ pub(crate) const HOT_STRIDE: usize = 4;
 /// A settled baseline for one `(die, distribution, condition)` key —
 /// see the [module docs](self) for the layout and identity argument.
 pub(crate) struct Baseline {
-    /// Leased plane set: keeps the bias plane (read by metastable
+    /// Leased plane set: keeps the power-up block (read by metastable
     /// sampling) alive even if the die is evicted from the cache.
     planes: Arc<DiePlanes>,
-    seed: u64,
-    dist: CellDistribution,
     /// Flat hot-word records, [`HOT_STRIDE`] words each, sorted by
     /// ascending absolute word index.
     hot: Vec<u64>,
@@ -99,15 +97,9 @@ pub(crate) struct Baseline {
 }
 
 impl Baseline {
-    pub(crate) fn new(
-        planes: Arc<DiePlanes>,
-        seed: u64,
-        dist: CellDistribution,
-        hot: Vec<u64>,
-        retained: usize,
-    ) -> Self {
+    pub(crate) fn new(planes: Arc<DiePlanes>, hot: Vec<u64>, retained: usize) -> Self {
         debug_assert_eq!(hot.len() % HOT_STRIDE, 0);
-        Baseline { planes, seed, dist, hot, retained }
+        Baseline { planes, hot, retained }
     }
 
     /// Heap bytes charged against the cache's baseline byte cap.
@@ -124,12 +116,11 @@ impl Baseline {
     /// metastable values for event `event_id`, and returns the retained
     /// count. Cold words are untouched, exactly like the dense path.
     fn apply(&self, data: &mut PackedBits, event_id: u64) -> usize {
-        let ev_base = rng::event_base(self.seed, event_id);
+        let ev_base = rng::event_base(self.planes.seed(), event_id);
         let words = data.words_mut();
         for rec in self.hot.chunks_exact(HOT_STRIDE) {
             let w = rec[0] as usize;
-            let meta =
-                engine::sample_meta_word(rec[3], w, &self.planes, self.seed, &self.dist, ev_base);
+            let meta = engine::sample_meta_word(rec[3], w, &self.planes, ev_base);
             words[w] = (words[w] & rec[1]) | rec[2] | meta;
         }
         self.retained
@@ -239,8 +230,6 @@ thread_local! {
 pub(crate) fn resolve_delta(
     data: &mut PackedBits,
     planes: &Arc<DiePlanes>,
-    seed: u64,
-    dist: &CellDistribution,
     event: OffEvent,
     stress: f64,
     event_id: u64,
@@ -249,7 +238,7 @@ pub(crate) fn resolve_delta(
         return None;
     }
     let key = BaselineKey::new(event, stress);
-    let plane_key = engine::plane_key(seed, planes.bits(), dist);
+    let plane_key = planes.key();
     let generation = engine::cache_generation();
     // Steady state: the lease taken for the previous rep still matches —
     // no lock, no allocation.
@@ -267,7 +256,7 @@ pub(crate) fn resolve_delta(
             let b = slot
                 .get_or_init(|| {
                     built_here = true;
-                    Arc::new(engine::build_baseline(planes, seed, dist, event, stress))
+                    Arc::new(engine::build_baseline(planes, event, stress))
                 })
                 .clone();
             if built_here {
@@ -303,6 +292,7 @@ mod tests {
     /// dense-path twin.
     #[test]
     fn delta_engages_on_third_rep_and_stays_bit_exact() {
+        let _guard = crate::global_state_lock();
         crate::clear_plane_cache();
         let config = ArrayConfig::with_bits("delta", 65 * 64 + 17);
         let seed = 0xDE17A_u64;
@@ -335,6 +325,7 @@ mod tests {
     /// identical output either way.
     #[test]
     fn force_disable_routes_dense_and_is_bit_exact() {
+        let _guard = crate::global_state_lock();
         crate::clear_plane_cache();
         let config = ArrayConfig::with_bits("toggle", 4096);
         let mut a = SramArray::new(config.clone(), 0x70661E);
@@ -363,6 +354,7 @@ mod tests {
     /// image byte-identical to an isolated dense reference.
     #[test]
     fn clear_during_resolve_keeps_leased_baselines_valid() {
+        let _guard = crate::global_state_lock();
         crate::clear_plane_cache();
         let config = ArrayConfig::with_bits("hammer", 8192);
         let seed = 0xC1EA_DE17A_u64;

@@ -12,17 +12,30 @@
 //! scalar path:
 //!
 //! 1. **Die planes** ([`DiePlanes`]) — per `(seed, distribution, size)`,
-//!    a one-time derivation pass quantizes every cell's decay budget and
-//!    DRV onto 14- and 12-bit grids and *transposes* the buckets into
-//!    bit-sliced tiles: struct-of-arrays blocks of [`TILE_WORDS`] words
-//!    × 28 rows (14 decay bit-planes, 12 DRV bit-planes, strong-1,
-//!    metastable), each tile 14 KiB and L1-resident while its 4096
-//!    cells resolve. The grid widths trade exact-fallback volume
-//!    against memory traffic: each extra bit-plane row streams another
-//!    ~0.13 bytes per cell per cycle, while each bit *removed* doubles
-//!    the (cheap, exact) bucket-tie fallback rate — these widths keep
-//!    ties in the low thousands per megabyte while the warm cycle stays
-//!    bandwidth-lean.
+//!    three blocks, each derived once and only when a query first needs
+//!    it:
+//!
+//!    * the **power-up block** — per word, the strong-1 and metastable
+//!      masks plus one quantized bias byte per cell (1.25 B/cell) — is
+//!      built with the planes, since every first power-on samples it;
+//!    * the **DRV block** — every cell's DRV quantized onto a 12-bit
+//!      grid (1.5 B/cell) — is built by the first held-rail query whose
+//!      threshold falls inside the DRV range (a droop);
+//!    * the **decay block** — every cell's decay budget quantized onto a
+//!      14-bit grid (1.75 B/cell, plus a 128 KiB cut table) — is built
+//!      by the first unpowered query with positive stress.
+//!
+//!    A retention block *transposes* its buckets into bit-sliced tiles
+//!    of [`TILE_WORDS`] words × one row per bucket bit, L1-resident
+//!    while its 4096 cells resolve. The grid widths trade exact-fallback
+//!    volume against memory traffic: each extra bit-plane row streams
+//!    another ~0.13 bytes per cell per cycle, while each bit *removed*
+//!    doubles the (cheap, exact) bucket-tie fallback rate — these widths
+//!    keep ties in the low thousands per megabyte while the warm cycle
+//!    stays bandwidth-lean. A fresh die's first power-on, a
+//!    certainly-lost cycle, a clean held rail and a zero-stress cycle
+//!    read only the power-up block, so they never pay the per-cell
+//!    Box–Muller draws the retention blocks cost.
 //!    Planes are memoized on the array and in a bounded global cache, so
 //!    repeated cycles of the same die (the common case) derive nothing.
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
@@ -45,7 +58,7 @@ use crate::array::OffEvent;
 use crate::bits::PackedBits;
 use crate::cell::{derive_decay_budget, derive_drv, derive_powerup, CellDistribution, PowerUpKind};
 use crate::par;
-use crate::rng::{event_word_at, unit_f64};
+use crate::rng::{event_base, event_word_at, unit_f64};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,8 +71,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// saves.
 pub const PAR_MIN_BITS: usize = 1 << 22;
 
-/// Words per tile (4096 cells). One tile's 28 rows occupy 14 KiB — the
-/// whole working set of a resolution step fits in L1.
+/// Words per tile (4096 cells). A tile of the decay block (14 rows)
+/// occupies 7 KiB and one of the DRV block (12 rows) 6 KiB — the whole
+/// working set of a resolution step fits in L1.
 pub(crate) const TILE_WORDS: usize = 64;
 
 /// Cells per tile.
@@ -78,34 +92,18 @@ const DECAY_BITS: usize = 14;
 /// normal draw, so the narrower grid wins back plane memory.
 const DRV_BITS: usize = 12;
 
-/// Rows per tile: 14 decay bit-planes, 12 DRV bit-planes, strong-1,
-/// metastable.
-const TILE_ROWS: usize = DECAY_BITS + DRV_BITS + 2;
-
-/// First decay bit-plane row (row `r` holds bit `DECAY_BITS - 1 - r` of
-/// every cell's decay bucket — MSB first, matching the compare scan
-/// order).
-const DECAY_ROW0: usize = 0;
-
-/// First DRV bit-plane row (same MSB-first layout).
-const DRV_ROW0: usize = DECAY_BITS;
-
-/// Row of the strong-1 power-up mask.
-const STRONG1_ROW: usize = DECAY_BITS + DRV_BITS;
-
-/// Row of the metastable power-up mask.
-const META_ROW: usize = STRONG1_ROW + 1;
-
 /// Total cells the global plane cache may hold before evicting the
-/// oldest die (≈4.3 bytes of plane data per cell, plus one 32 KiB cut
-/// table per die).
+/// oldest die. Each cached cell costs 1.25 bytes of power-up block, plus
+/// 1.5 bytes of DRV rows and 1.75 bytes of decay rows (and one 128 KiB
+/// cut table per die) once a query has built those blocks.
 const MAX_CACHED_CELLS: usize = 48 << 20;
 
 /// Most dies the global plane cache retains at once. The cell cap alone
 /// does not bound a fleet sweep over millions of *small* virtual dies —
-/// a 4 Kib die occupies one tile, so 10⁶ of them would grow the cache
-/// by a gigabyte of tiles plus a 32 KiB cut table each. The entry cap
-/// keeps the steady-state footprint proportional to the working set.
+/// a 4 Kib die occupies one tile, 5 KiB of power-up block plus up to
+/// 13 KiB of retention rows and a 128 KiB cut table once queried, so
+/// 10⁶ of them would grow the cache by gigabytes. The entry cap keeps
+/// the steady-state footprint proportional to the working set.
 pub const MAX_CACHED_DIES: usize = 1024;
 
 /// Rep-delta baselines retained per die entry (FIFO). One baseline per
@@ -158,13 +156,13 @@ const DECAY_CUTS: usize = (1 << DECAY_BITS) - 1;
 /// Half-width of the standard-normal grid the cuts are placed on. The
 /// decay budget is `exp(sigma * z)` with `z` standard normal, so cuts at
 /// `exp(sigma * z_i)` for `z_i` linear over `[-8, 8]` spread the budget
-/// distribution's entire plausible mass across the 2^12 buckets; the
+/// distribution's entire plausible mass across the 2^14 buckets; the
 /// astronomically rare `|z| > 8` tail lands in the end buckets and is
 /// re-decided exactly like any other bucket tie.
 const DECAY_Z_SPAN: f64 = 8.0;
 
 /// Sorted cut table bucketing positive decay budgets (and the query's
-/// accumulated stress) onto a 2^12 grid.
+/// accumulated stress) onto a 2^14 grid.
 ///
 /// `bucket(x)` is the number of cuts `<= x` — a [`partition_point`] over
 /// a sorted table, which is weakly monotone *by construction*, with no
@@ -231,30 +229,54 @@ impl DrvGrid {
 // Die planes
 // ---------------------------------------------------------------------
 
-/// Precomputed, bit-sliced per-cell parameter planes for one die.
+/// One word's share of the power-up block: which of its 64 cells power
+/// up strong-1, which are metastable, and every cell's quantized
+/// power-up bias ([`prob_bucket`]) — 80 bytes per 64 cells. The masks and
+/// the bias bytes a lost word's metastable sampling reads sit side by
+/// side.
+#[derive(Clone, Copy)]
+struct PowerUpWord {
+    strong1: u64,
+    metastable: u64,
+    bias_q: [u8; 64],
+}
+
+/// The decay block: bucket rows plus the cut table that bucketed them
+/// (which also buckets each query's stress).
+struct DecayBlock {
+    rows: Vec<u64>,
+    cuts: DecayCuts,
+}
+
+/// Precomputed per-cell parameter planes for one die, in three blocks.
 ///
-/// The flat `tiles` vector holds `n_tiles × TILE_ROWS × TILE_WORDS`
-/// words: tile `t`'s row `r` occupies
-/// `tiles[(t * TILE_ROWS + r) * TILE_WORDS ..][.. TILE_WORDS]`, and bit
-/// `b` of word `j` in a row describes cell `(t * TILE_WORDS + j) * 64 +
-/// b`. Rows `0..14` are the decay-bucket bit-planes (MSB first), rows
-/// `14..26` the DRV bit-planes, row 26 the strong-1 mask, row 27 the
-/// metastable mask. Word and cell coordinates are always **absolute**
-/// array positions, never tile-local — the rep-delta hot-word records in
+/// * The **power-up block** is one [`PowerUpWord`] per array word,
+///   derived when the planes are built: every first power-on samples it.
+/// * The **DRV block** and the **decay block** are *retention blocks*,
+///   each in its own [`OnceLock`] and derived by the first query that
+///   scans it ([`Query::new`]). Only droop queries read DRVs and only
+///   unpowered queries with positive stress read decay budgets, so a
+///   die that never meets one never pays its per-cell Box–Muller draws.
+///
+/// A retention block holds `n_tiles × BITS × TILE_WORDS` words: tile
+/// `t`'s row `r` occupies `rows[(t * BITS + r) * TILE_WORDS..][..TILE_WORDS]`
+/// and holds bit `BITS - 1 - r` (MSB first, the compare scan order) of
+/// the bucket of every cell `(t * TILE_WORDS + j) * 64 + b`, at bit `b`
+/// of word `j`. Word and cell coordinates are always **absolute** array
+/// positions, never tile-local — the rep-delta hot-word records in
 /// [`crate::delta`] index the same space, which is what lets their
 /// counter-mode RNG offsets land on the exact words the dense path
-/// samples. The metastable power-up bias stays a flat per-cell
-/// byte plane — it is only read for the small minority of lost
-/// metastable cells, whose per-event RNG sampling is inherently
-/// per-cell.
+/// samples.
 pub(crate) struct DiePlanes {
+    seed: u64,
     bits: usize,
-    /// Bit-sliced tile data (see the struct docs for the layout).
-    tiles: Vec<u64>,
-    /// Quantized power-up bias of each cell, padded to whole tiles.
-    bias_q: Vec<u8>,
-    /// The decay-budget cut table (also buckets the query's stress).
-    decay_cuts: DecayCuts,
+    dist: CellDistribution,
+    /// The power-up block, one record per word.
+    powerup: Vec<PowerUpWord>,
+    /// DRV bucket rows, built on first need.
+    drv: OnceLock<Vec<u64>>,
+    /// Decay-budget bucket rows and their cut table, built on first need.
+    decay: OnceLock<DecayBlock>,
 }
 
 impl std::fmt::Debug for DiePlanes {
@@ -269,85 +291,113 @@ impl DiePlanes {
         self.bits
     }
 
-    /// All [`TILE_ROWS`] rows of tile `t`.
-    #[inline]
-    fn tile(&self, t: usize) -> &[u64] {
-        &self.tiles[t * TILE_ROWS * TILE_WORDS..][..TILE_ROWS * TILE_WORDS]
+    /// The die seed the planes were derived from.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
     }
 
-    /// Derives the planes for one die, sharding large arrays across
-    /// threads on tile boundaries.
+    /// The plane-cache key of the die these planes describe.
+    pub(crate) fn key(&self) -> PlaneKey {
+        plane_key(self.seed, self.bits, &self.dist)
+    }
+
+    /// Derives the power-up block for one die; the retention blocks wait
+    /// for their first query.
     fn build(seed: u64, bits: usize, dist: &CellDistribution) -> Self {
-        let n_tiles = bits.div_ceil(64).div_ceil(TILE_WORDS);
-        let decay_cuts = DecayCuts::new(dist.decay_sigma);
-        let mut tiles = vec![0u64; n_tiles * TILE_ROWS * TILE_WORDS];
-        let mut bias_q = vec![0u8; n_tiles * TILE_CELLS];
-        let grid = DrvGrid::new(dist);
-        let threads = par::effective_parallelism();
-        if bits < PAR_MIN_BITS || threads <= 1 || n_tiles <= 1 {
-            build_tiles(seed, bits, dist, grid, &decay_cuts, 0, &mut tiles, &mut bias_q);
-        } else {
-            let per_shard = n_tiles.div_ceil(threads);
-            std::thread::scope(|s| {
-                let tile_chunks = tiles.chunks_mut(per_shard * TILE_ROWS * TILE_WORDS);
-                let bias_chunks = bias_q.chunks_mut(per_shard * TILE_CELLS);
-                for (i, (tc, bc)) in tile_chunks.zip(bias_chunks).enumerate() {
-                    let cuts = &decay_cuts;
-                    s.spawn(move || {
-                        build_tiles(seed, bits, dist, grid, cuts, i * per_shard, tc, bc)
-                    });
+        let empty = PowerUpWord { strong1: 0, metastable: 0, bias_q: [0; 64] };
+        let mut powerup = vec![empty; bits.div_ceil(64)];
+        fill_tiles(bits, &mut powerup, TILE_WORDS, |tile0, run| {
+            for (k, pw) in run.iter_mut().enumerate() {
+                let cell0 = (tile0 * TILE_WORDS + k) * 64;
+                for b in 0..(bits - cell0).min(64) {
+                    let (kind, bias) = derive_powerup(seed, cell0 + b, dist);
+                    match kind {
+                        PowerUpKind::Strong0 => {}
+                        PowerUpKind::Strong1 => pw.strong1 |= 1 << b,
+                        PowerUpKind::Metastable => pw.metastable |= 1 << b,
+                    }
+                    pw.bias_q[b] = prob_bucket(bias);
                 }
+            }
+        });
+        DiePlanes { seed, bits, dist: *dist, powerup, drv: OnceLock::new(), decay: OnceLock::new() }
+    }
+
+    /// The DRV block, derived on first call.
+    fn drv_rows(&self) -> &[u64] {
+        self.drv.get_or_init(|| {
+            let grid = DrvGrid::new(&self.dist);
+            build_bucket_rows::<DRV_BITS>(self.bits, |cell| {
+                grid.bucket(derive_drv(self.seed, cell, &self.dist))
+            })
+        })
+    }
+
+    /// The decay block, derived on first call.
+    fn decay_block(&self) -> &DecayBlock {
+        self.decay.get_or_init(|| {
+            let cuts = DecayCuts::new(self.dist.decay_sigma);
+            let rows = build_bucket_rows::<DECAY_BITS>(self.bits, |cell| {
+                cuts.bucket(derive_decay_budget(self.seed, cell, &self.dist))
             });
-        }
-        DiePlanes { bits, tiles, bias_q, decay_cuts }
+            DecayBlock { rows, cuts }
+        })
     }
 }
 
-/// Fills a run of tiles starting at `tile_base` by deriving every cell
-/// once and transposing its bucket bits into the row bit-planes.
-#[allow(clippy::too_many_arguments)]
-fn build_tiles(
-    seed: u64,
+/// Fills a plane vector laid out as `per_tile` elements per tile by
+/// handing `fill` runs of whole tiles along with the index of each run's
+/// first tile. Arrays at or above [`PAR_MIN_BITS`] split the tiles
+/// across scoped threads; every element is a pure function of its cell
+/// indices, so the split never changes the planes.
+fn fill_tiles<T: Send>(
     bits: usize,
-    dist: &CellDistribution,
-    grid: DrvGrid,
-    cuts: &DecayCuts,
-    tile_base: usize,
-    tiles: &mut [u64],
-    bias_q: &mut [u8],
+    out: &mut [T],
+    per_tile: usize,
+    fill: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    for (ti, tile) in tiles.chunks_mut(TILE_ROWS * TILE_WORDS).enumerate() {
-        let word0 = (tile_base + ti) * TILE_WORDS;
-        for j in 0..TILE_WORDS {
-            let mut strong1 = 0u64;
-            let mut metastable = 0u64;
-            for b in 0..64 {
-                let cell = (word0 + j) * 64 + b;
-                if cell >= bits {
-                    break;
+    let n_tiles = bits.div_ceil(TILE_CELLS);
+    let threads = par::effective_parallelism();
+    if bits < PAR_MIN_BITS || threads <= 1 || n_tiles <= 1 {
+        fill(0, out);
+        return;
+    }
+    let per_shard = n_tiles.div_ceil(threads);
+    std::thread::scope(|s| {
+        let fill = &fill;
+        for (i, run) in out.chunks_mut(per_shard * per_tile).enumerate() {
+            s.spawn(move || fill(i * per_shard, run));
+        }
+    });
+}
+
+/// Derives a retention block: every cell's `BITS`-bit bucket, transposed
+/// MSB-first into the block's bit-plane rows (see [`DiePlanes`] for the
+/// layout).
+fn build_bucket_rows<const BITS: usize>(
+    bits: usize,
+    bucket: impl Fn(usize) -> u16 + Sync,
+) -> Vec<u64> {
+    let mut rows = vec![0u64; bits.div_ceil(TILE_CELLS) * BITS * TILE_WORDS];
+    fill_tiles(bits, &mut rows, BITS * TILE_WORDS, |tile0, run| {
+        for (ti, tile) in run.chunks_mut(BITS * TILE_WORDS).enumerate() {
+            let word0 = (tile0 + ti) * TILE_WORDS;
+            for j in 0..TILE_WORDS.min(bits.div_ceil(64) - word0) {
+                let cell0 = (word0 + j) * 64;
+                let mut acc = [0u64; BITS];
+                for b in 0..(bits - cell0).min(64) {
+                    let q = bucket(cell0 + b);
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        *row |= u64::from((q >> (BITS - 1 - r)) & 1) << b;
+                    }
                 }
-                let (kind, bias) = derive_powerup(seed, cell, dist);
-                match kind {
-                    PowerUpKind::Strong0 => {}
-                    PowerUpKind::Strong1 => strong1 |= 1 << b,
-                    PowerUpKind::Metastable => metastable |= 1 << b,
-                }
-                bias_q[ti * TILE_CELLS + j * 64 + b] = prob_bucket(bias);
-                let vq = grid.bucket(derive_drv(seed, cell, dist));
-                let dq = cuts.bucket(derive_decay_budget(seed, cell, dist));
-                for r in 0..DECAY_BITS {
-                    tile[(DECAY_ROW0 + r) * TILE_WORDS + j] |=
-                        u64::from((dq >> (DECAY_BITS - 1 - r)) & 1) << b;
-                }
-                for r in 0..DRV_BITS {
-                    tile[(DRV_ROW0 + r) * TILE_WORDS + j] |=
-                        u64::from((vq >> (DRV_BITS - 1 - r)) & 1) << b;
+                for (r, row) in acc.into_iter().enumerate() {
+                    tile[r * TILE_WORDS + j] = row;
                 }
             }
-            tile[STRONG1_ROW * TILE_WORDS + j] = strong1;
-            tile[META_ROW * TILE_WORDS + j] = metastable;
         }
-    }
+    });
+    rows
 }
 
 // ---------------------------------------------------------------------
@@ -686,63 +736,71 @@ pub(crate) fn can_batch(dist: &CellDistribution, event: OffEvent, stress: f64) -
 }
 
 /// One power-cycle resolution query, pre-bucketized against the die's
-/// quantizer grids.
+/// quantizer grids, holding the slices of exactly the retention blocks
+/// it scans — so the kernels never touch a lock.
 struct Query<'a> {
-    seed: u64,
-    dist: &'a CellDistribution,
+    planes: &'a DiePlanes,
     /// Hoisted cell-independent half of the per-event RNG word
     /// ([`crate::rng::event_base`]) — the power-up sampler finishes it
     /// with one `event_word_at` per lost metastable cell.
     ev_base: u64,
-    /// `stress <= 0`: every cell is within its decay budget.
-    all_decay_ok: bool,
-    stress: f64,
-    stress_q: u16,
-    /// `None` for an unpowered rail (no DRV check); otherwise the held
-    /// threshold `min(steady, transient)` and its bucket.
-    hold: Option<HoldQuery>,
+    /// The decay check, or `None` when it cannot change the outcome:
+    /// `stress <= 0` keeps every cell within its budget, and a DRV check
+    /// that fails every cell loses them all anyway.
+    decay: Option<Scan<'a>>,
+    drv: DrvCheck<'a>,
 }
 
+/// A bucket-plane comparison against one retention block: its rows,
+/// the exact query value, and that value's bucket.
 #[derive(Clone, Copy)]
-struct HoldQuery {
-    vmin: f64,
-    vmin_q: u16,
-    /// `vmin >= drv_max`: every cell retains at this hold level.
-    all_pass: bool,
+struct Scan<'a> {
+    rows: &'a [u64],
+    value: f64,
+    bucket: u16,
+}
+
+/// The held-rail half of a query, against the threshold
+/// `vmin = min(steady, transient)`.
+#[derive(Clone, Copy)]
+enum DrvCheck<'a> {
+    /// Unpowered rail (no DRV check), or `vmin >= drv_max`: every cell
+    /// retains at this hold level.
+    Pass,
     /// `vmin < drv_min`: no cell retains at this hold level.
-    none_pass: bool,
+    Fail,
+    /// A droop into the DRV range: compare every cell's DRV bucket.
+    Scan(Scan<'a>),
 }
 
 impl<'a> Query<'a> {
-    fn new(
-        seed: u64,
-        dist: &'a CellDistribution,
-        event: OffEvent,
-        stress: f64,
-        event_id: u64,
-        planes: &DiePlanes,
-    ) -> Self {
-        let hold = match event {
-            OffEvent::Unpowered => None,
+    /// Builds the query, deriving (tile-sharded, on the calling thread —
+    /// before any kernel fans out) each retention block it is the first
+    /// to need.
+    fn new(planes: &'a DiePlanes, event: OffEvent, stress: f64, event_id: u64) -> Self {
+        let dist = &planes.dist;
+        let drv = match event {
+            OffEvent::Unpowered => DrvCheck::Pass,
             OffEvent::Held { voltage, transient_min_voltage } => {
                 let vmin = voltage.min(transient_min_voltage);
-                Some(HoldQuery {
-                    vmin,
-                    vmin_q: DrvGrid::new(dist).bucket(vmin),
-                    all_pass: vmin >= dist.drv_max,
-                    none_pass: vmin < dist.drv_min,
-                })
+                if vmin >= dist.drv_max {
+                    DrvCheck::Pass
+                } else if vmin < dist.drv_min {
+                    DrvCheck::Fail
+                } else {
+                    DrvCheck::Scan(Scan {
+                        rows: planes.drv_rows(),
+                        value: vmin,
+                        bucket: DrvGrid::new(dist).bucket(vmin),
+                    })
+                }
             }
         };
-        Query {
-            seed,
-            dist,
-            ev_base: crate::rng::event_base(seed, event_id),
-            all_decay_ok: stress <= 0.0,
-            stress,
-            stress_q: planes.decay_cuts.bucket(stress),
-            hold,
-        }
+        let decay = (stress > 0.0 && !matches!(drv, DrvCheck::Fail)).then(|| {
+            let block = planes.decay_block();
+            Scan { rows: &block.rows, value: stress, bucket: block.cuts.bucket(stress) }
+        });
+        Query { planes, ev_base: event_base(planes.seed, event_id), decay, drv }
     }
 }
 
@@ -781,6 +839,13 @@ fn cmp_grid<const N: usize, const BITS: usize>(
     (gt, eq)
 }
 
+/// Tile `word / TILE_WORDS` of a `BITS`-row retention block, and the
+/// word's in-tile index.
+#[inline(always)]
+fn block_tile<const BITS: usize>(rows: &[u64], word: usize) -> (&[u64], usize) {
+    (&rows[word / TILE_WORDS * BITS * TILE_WORDS..][..BITS * TILE_WORDS], word % TILE_WORDS)
+}
+
 /// Computes the retention keep-masks for `N` consecutive words: bit `b`
 /// of `keep[i]` is set iff cell `(word0 + i) * 64 + b` survives the
 /// query's off interval. Returns `(keep, valid)`. The caller guarantees
@@ -792,29 +857,25 @@ fn cmp_grid<const N: usize, const BITS: usize>(
 /// lets the rep-delta path ([`crate::delta`]) precompute it once per
 /// `(die, condition)` and reuse it for every rep of a sweep.
 #[inline(always)]
-fn keep_chunk<const N: usize>(
-    word0: usize,
-    planes: &DiePlanes,
-    q: &Query<'_>,
-) -> ([u64; N], [u64; N]) {
-    let tile = planes.tile(word0 / TILE_WORDS);
-    let j = word0 % TILE_WORDS;
-    let valid: [u64; N] = std::array::from_fn(|i| valid_mask(planes.bits, word0 + i));
+fn keep_chunk<const N: usize>(word0: usize, q: &Query<'_>) -> ([u64; N], [u64; N]) {
+    let (seed, dist) = (q.planes.seed, &q.planes.dist);
+    let valid: [u64; N] = std::array::from_fn(|i| valid_mask(q.planes.bits, word0 + i));
 
     // Decay check: stress <= budget. Strict bucket inequality decides;
     // boundary cells (bucket == stress bucket) re-derive exactly. The
     // `eq` mask must shed padding cells (their all-zero planes collide
     // with bucket-0 queries) before the fallback loop.
     let mut keep = valid;
-    if !q.all_decay_ok {
-        let (gt, eq) = cmp_grid::<N, DECAY_BITS>(&tile[DECAY_ROW0 * TILE_WORDS..], j, q.stress_q);
+    if let Some(s) = q.decay {
+        let (tile, j) = block_tile::<DECAY_BITS>(s.rows, word0);
+        let (gt, eq) = cmp_grid::<N, DECAY_BITS>(tile, j, s.bucket);
         for i in 0..N {
             let mut ok = gt[i];
             let mut boundary = eq[i] & valid[i];
             while boundary != 0 {
                 let b = boundary.trailing_zeros() as usize;
-                let budget = derive_decay_budget(q.seed, (word0 + i) * 64 + b, q.dist);
-                if q.stress <= budget {
+                let budget = derive_decay_budget(seed, (word0 + i) * 64 + b, dist);
+                if s.value <= budget {
                     ok |= 1 << b;
                 } else {
                     ok &= !(1u64 << b);
@@ -828,18 +889,18 @@ fn keep_chunk<const N: usize>(
     // DRV check: min(hold voltage, transient minimum) >= drv, i.e. the
     // cell's bucket below the query's retains, above loses, equal
     // re-derives. Only cells that passed the decay check fall back.
-    match q.hold {
-        None => {}
-        Some(h) if h.all_pass => {}
-        Some(h) if h.none_pass => keep = [0; N],
-        Some(h) => {
-            let (gt, eq) = cmp_grid::<N, DRV_BITS>(&tile[DRV_ROW0 * TILE_WORDS..], j, h.vmin_q);
+    match q.drv {
+        DrvCheck::Pass => {}
+        DrvCheck::Fail => keep = [0; N],
+        DrvCheck::Scan(s) => {
+            let (tile, j) = block_tile::<DRV_BITS>(s.rows, word0);
+            let (gt, eq) = cmp_grid::<N, DRV_BITS>(tile, j, s.bucket);
             for i in 0..N {
                 let mut drv_ok = valid[i] & !gt[i] & !eq[i];
                 let mut boundary = eq[i] & keep[i];
                 while boundary != 0 {
                     let b = boundary.trailing_zeros() as usize;
-                    if h.vmin >= derive_drv(q.seed, (word0 + i) * 64 + b, q.dist) {
+                    if s.value >= derive_drv(seed, (word0 + i) * 64 + b, dist) {
                         drv_ok |= 1 << b;
                     }
                     boundary &= boundary - 1;
@@ -852,42 +913,23 @@ fn keep_chunk<const N: usize>(
 }
 
 /// Resolves `N` consecutive words: decides retention for their cells by
-/// mask algebra over the tile's bit-planes ([`keep_chunk`]), samples
-/// power-up values for the lost ones, and returns the retained count.
-/// Same one-tile precondition as [`keep_chunk`].
+/// mask algebra over the retention blocks' bit-planes ([`keep_chunk`]),
+/// samples power-up values for the lost ones, and returns the retained
+/// count. Same one-tile precondition as [`keep_chunk`].
 ///
 /// `N = 4` is the wide path (a 256-bit effective lane per row
 /// operation, unrolled over four `u64`s — portable, no intrinsics);
 /// `N = 1` is the word oracle the wide path is tested against and the
 /// remainder path at array edges.
 #[inline]
-fn resolve_chunk<const N: usize>(
-    data: &mut [u64; N],
-    word0: usize,
-    planes: &DiePlanes,
-    q: &Query<'_>,
-) -> u32 {
-    let (keep, valid) = keep_chunk::<N>(word0, planes, q);
-    let tile = planes.tile(word0 / TILE_WORDS);
-    let j = word0 % TILE_WORDS;
+fn resolve_chunk<const N: usize>(data: &mut [u64; N], word0: usize, q: &Query<'_>) -> u32 {
+    let (keep, valid) = keep_chunk::<N>(word0, q);
     let mut retained = 0u32;
     for i in 0..N {
         retained += keep[i].count_ones();
         let lost = valid[i] & !keep[i];
         if lost != 0 {
-            let strong1 = tile[STRONG1_ROW * TILE_WORDS + j + i];
-            let metastable = tile[META_ROW * TILE_WORDS + j + i];
-            let value = powerup_word(
-                lost,
-                word0 + i,
-                strong1,
-                metastable,
-                planes,
-                q.seed,
-                q.dist,
-                q.ev_base,
-            );
-            data[i] = (data[i] & !lost) | value;
+            data[i] = (data[i] & !lost) | powerup_word(lost, word0 + i, q.planes, q.ev_base);
         }
     }
     retained
@@ -897,26 +939,10 @@ fn resolve_chunk<const N: usize>(
 /// strong-1 cells read 1, strong-0 cells read 0, metastable cells are
 /// re-sampled per power-on event. The per-event RNG draw is inherently
 /// per-cell; everything around it is mask algebra.
-///
-/// The per-cell draw is integer-only on the common path: the uniform
-/// sample's probability bucket is the random word's top byte (see
-/// [`prob_bucket`] for why that identity is exact), so the f64
-/// conversion and the exact bias derivation run only on the ~1/256
-/// bucket ties. `ev_base` is the hoisted [`crate::rng::event_base`] of
-/// the power-on event.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn powerup_word(
-    mask: u64,
-    word: usize,
-    strong1: u64,
-    metastable: u64,
-    planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
-    ev_base: u64,
-) -> u64 {
-    (strong1 & mask) | sample_meta_word(metastable & mask, word, planes, seed, dist, ev_base)
+fn powerup_word(mask: u64, word: usize, planes: &DiePlanes, ev_base: u64) -> u64 {
+    let pw = &planes.powerup[word];
+    (pw.strong1 & mask) | sample_meta_word(pw.metastable & mask, word, planes, ev_base)
 }
 
 /// Samples fresh per-event values for the metastable cells of `meta`
@@ -925,15 +951,16 @@ fn powerup_word(
 /// draws are identical to the dense path's *by construction*: both
 /// finish the same hoisted `ev_base` with one
 /// [`event_word_at`] keyed on the absolute cell index.
+///
+/// The per-cell draw is integer-only on the common path: the uniform
+/// sample's probability bucket is the random word's top byte (see
+/// [`prob_bucket`] for why that identity is exact), so the f64
+/// conversion and the exact bias derivation run only on the ~1/256
+/// bucket ties. `ev_base` is the hoisted [`crate::rng::event_base`] of
+/// the power-on event.
 #[inline(always)]
-pub(crate) fn sample_meta_word(
-    meta: u64,
-    word: usize,
-    planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
-    ev_base: u64,
-) -> u64 {
+pub(crate) fn sample_meta_word(meta: u64, word: usize, planes: &DiePlanes, ev_base: u64) -> u64 {
+    let bias_q = &planes.powerup[word].bias_q;
     let mut value = 0u64;
     let mut meta = meta;
     while meta != 0 {
@@ -941,11 +968,15 @@ pub(crate) fn sample_meta_word(
         let cell = word * 64 + b;
         let w = event_word_at(ev_base, cell);
         let uq = (w >> 56) as u8;
-        let bq = planes.bias_q[cell];
+        let bq = bias_q[b];
         // The sample outcome is a coin flip — set the bit branchlessly
         // so it never costs a misprediction. Only the tie test branches,
         // and it is taken ~1/256 of the time.
-        let one = if uq != bq { uq < bq } else { unit_f64(w) < derive_powerup(seed, cell, dist).1 };
+        let one = if uq != bq {
+            uq < bq
+        } else {
+            unit_f64(w) < derive_powerup(planes.seed, cell, &planes.dist).1
+        };
         value |= u64::from(one) << b;
         meta &= meta - 1;
     }
@@ -959,18 +990,15 @@ pub(crate) fn sample_meta_word(
 /// `wide` selects the 4-word (256-bit) lane kernel; `false` forces the
 /// single-word oracle everywhere
 /// ([`ResolutionMode::BatchedWord`](crate::ResolutionMode::BatchedWord)).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve(
     data: &mut PackedBits,
     planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
     event: OffEvent,
     stress: f64,
     event_id: u64,
     wide: bool,
 ) -> usize {
-    let q = Query::new(seed, dist, event, stress, event_id, planes);
+    let q = Query::new(planes, event, stress, event_id);
     run_words(data, planes.bits(), |words, word_base| {
         let mut retained = 0usize;
         let mut k = 0usize;
@@ -979,11 +1007,11 @@ pub(crate) fn resolve(
             let tile_left = TILE_WORDS - word % TILE_WORDS;
             if wide && words.len() - k >= 4 && tile_left >= 4 {
                 let chunk: &mut [u64; 4] = (&mut words[k..k + 4]).try_into().expect("4-word chunk");
-                retained += resolve_chunk::<4>(chunk, word, planes, &q) as usize;
+                retained += resolve_chunk::<4>(chunk, word, &q) as usize;
                 k += 4;
             } else {
                 let chunk: &mut [u64; 1] = (&mut words[k..k + 1]).try_into().expect("1-word chunk");
-                retained += resolve_chunk::<1>(chunk, word, planes, &q) as usize;
+                retained += resolve_chunk::<1>(chunk, word, &q) as usize;
                 k += 1;
             }
         }
@@ -1008,13 +1036,12 @@ fn note_hot_word(
     *retained += keep.count_ones() as usize;
     let lost = valid & !keep;
     if lost != 0 {
-        let tile = planes.tile(word / TILE_WORDS);
-        let j = word % TILE_WORDS;
+        let pw = &planes.powerup[word];
         hot.extend_from_slice(&[
             word as u64,
             keep | !valid,
-            tile[STRONG1_ROW * TILE_WORDS + j] & lost,
-            tile[META_ROW * TILE_WORDS + j] & lost,
+            pw.strong1 & lost,
+            pw.metastable & lost,
         ]);
     }
 }
@@ -1026,14 +1053,12 @@ fn note_hot_word(
 /// condition and is therefore never re-counted per rep.
 pub(crate) fn build_baseline(
     planes: &Arc<DiePlanes>,
-    seed: u64,
-    dist: &CellDistribution,
     event: OffEvent,
     stress: f64,
 ) -> crate::delta::Baseline {
     // The event id only feeds `ev_base`, which the keep scan never
     // reads; 0 is as good as any.
-    let q = Query::new(seed, dist, event, stress, 0, planes);
+    let q = Query::new(planes, event, stress, 0);
     let bits = planes.bits();
     let words = bits.div_ceil(64);
     let scan = |w0: usize, w1: usize| -> (Vec<u64>, usize) {
@@ -1043,13 +1068,13 @@ pub(crate) fn build_baseline(
         while k < w1 {
             let tile_left = TILE_WORDS - k % TILE_WORDS;
             if w1 - k >= 4 && tile_left >= 4 {
-                let (keep, valid) = keep_chunk::<4>(k, planes, &q);
+                let (keep, valid) = keep_chunk::<4>(k, &q);
                 for i in 0..4 {
                     note_hot_word(&mut hot, &mut retained, planes, k + i, keep[i], valid[i]);
                 }
                 k += 4;
             } else {
-                let (keep, valid) = keep_chunk::<1>(k, planes, &q);
+                let (keep, valid) = keep_chunk::<1>(k, &q);
                 note_hot_word(&mut hot, &mut retained, planes, k, keep[0], valid[0]);
                 k += 1;
             }
@@ -1082,29 +1107,19 @@ pub(crate) fn build_baseline(
         }
         (hot, retained)
     };
-    crate::delta::Baseline::new(planes.clone(), seed, *dist, hot, retained)
+    crate::delta::Baseline::new(planes.clone(), hot, retained)
 }
 
 /// Samples a fresh power-up state for every cell (the first power-on and
-/// the certainly-lost fast path). Bit-exact with per-cell
+/// the certainly-lost fast path) from the power-up block alone.
+/// Bit-exact with per-cell
 /// [`CellParams::sample_powerup_only`](crate::CellParams::sample_powerup_only).
-pub(crate) fn sample_all(
-    data: &mut PackedBits,
-    planes: &DiePlanes,
-    seed: u64,
-    dist: &CellDistribution,
-    event_id: u64,
-) {
-    let ev_base = crate::rng::event_base(seed, event_id);
+pub(crate) fn sample_all(data: &mut PackedBits, planes: &DiePlanes, event_id: u64) {
+    let ev_base = event_base(planes.seed, event_id);
     run_words(data, planes.bits(), |words, word_base| {
         for (k, w) in words.iter_mut().enumerate() {
             let word = word_base + k;
-            let valid = valid_mask(planes.bits(), word);
-            let tile = planes.tile(word / TILE_WORDS);
-            let j = word % TILE_WORDS;
-            let strong1 = tile[STRONG1_ROW * TILE_WORDS + j];
-            let metastable = tile[META_ROW * TILE_WORDS + j];
-            *w = powerup_word(valid, word, strong1, metastable, planes, seed, dist, ev_base);
+            *w = powerup_word(valid_mask(planes.bits(), word), word, planes, ev_base);
         }
         0usize
     });
@@ -1288,6 +1303,7 @@ mod tests {
 
     #[test]
     fn plane_cache_memoizes_and_evicts() {
+        let _guard = crate::global_state_lock();
         clear_plane_cache();
         let dist = CellDistribution::calibrated();
         let (a, a_hit) = planes_for(1, 4096, &dist);
@@ -1303,6 +1319,7 @@ mod tests {
 
     #[test]
     fn concurrent_planes_for_builds_exactly_once() {
+        let _guard = crate::global_state_lock();
         // The 4-thread hammer: every thread asks for the same die at
         // once; the slot design must hand every caller the same Arc and
         // record exactly one build (no duplicate derivation, no torn
@@ -1328,6 +1345,7 @@ mod tests {
 
     #[test]
     fn planes_for_survives_concurrent_clears() {
+        let _guard = crate::global_state_lock();
         // Hammer the cache from 4 threads while racing clear_plane_cache:
         // every returned plane set must still describe the requested die.
         let dist = CellDistribution::calibrated();
@@ -1358,5 +1376,120 @@ mod tests {
         par::with_budget(1, || {
             assert_eq!(resolution_workers(PAR_MIN_BITS * 4), 1, "budget 1 never fans out");
         });
+    }
+
+    /// Decay stress of a -110 °C / 20 ms unpowered interval — inside
+    /// the decay grid, so it scans the decay block.
+    fn cold_stress() -> f64 {
+        crate::LeakageModel::calibrated()
+            .stress(std::time::Duration::from_millis(20), crate::Temperature::from_celsius(-110.0))
+    }
+
+    /// Which retention blocks a plane set has built: `(drv, decay)`.
+    fn built(p: &DiePlanes) -> (bool, bool) {
+        (p.drv.get().is_some(), p.decay.get().is_some())
+    }
+
+    #[test]
+    fn retention_blocks_build_only_for_the_queries_that_scan_them() {
+        let dist = CellDistribution::calibrated();
+        let (seed, bits) = (0x1A2B_3C4D, 3 * TILE_CELLS + 77);
+        let planes = DiePlanes::build(seed, bits, &dist);
+        let mut data = PackedBits::zeros(bits);
+        // The first power-on and a certainly-lost cycle sample power-up
+        // values; a clean hold at `drv_max` and a zero-stress unpowered
+        // interval keep every cell. None of them reads a retention row.
+        sample_all(&mut data, &planes, 0);
+        sample_all(&mut data, &planes, 1);
+        resolve(&mut data, &planes, OffEvent::held(dist.drv_max), 0.0, 2, true);
+        resolve(&mut data, &planes, OffEvent::unpowered(), 0.0, 3, true);
+        assert_eq!(
+            built(&planes),
+            (false, false),
+            "power-up queries must build no retention block"
+        );
+        // A droop into the DRV range builds the DRV block only.
+        resolve(&mut data, &planes, OffEvent::held_with_droop(0.8, 0.31), 0.0, 4, true);
+        assert_eq!(built(&planes), (true, false), "a droop builds the DRV block only");
+        // A cold unpowered interval builds the decay block only.
+        let fresh = DiePlanes::build(seed, bits, &dist);
+        resolve(&mut data, &fresh, OffEvent::unpowered(), cold_stress(), 5, true);
+        assert_eq!(built(&fresh), (false, true), "a cold cycle builds the decay block only");
+    }
+
+    #[test]
+    fn concurrent_conditions_on_a_new_die_share_each_block() {
+        // The extended hammer: four threads resolve different conditions
+        // on one newly cached die at the same moment, two racing for the
+        // DRV block and two for the decay block. Each block must be
+        // built once and shared, and every image must equal the scalar
+        // path's.
+        use crate::{ArrayConfig, PowerState, ResolutionMode, SramArray, Temperature};
+        use std::time::Duration;
+        let _guard = crate::global_state_lock();
+        let (seed, bits, fill) = (0xB10C_5EED, 5 * TILE_CELLS + 296, 0xA5);
+        let config = ArrayConfig::with_bits("hammer", bits);
+        // The scalar reference of one cycle: `(stress, image, retained)`.
+        let scalar = |event: OffEvent, off_ms: u64| {
+            let mut a = SramArray::new(config.clone(), seed);
+            a.power_on_with(ResolutionMode::Scalar).unwrap();
+            a.fill(fill).unwrap();
+            a.power_off(event).unwrap();
+            a.elapse(Duration::from_millis(off_ms), Temperature::from_celsius(-110.0));
+            let PowerState::Off { stress, .. } = a.power_state() else { unreachable!() };
+            let retained = a.power_on_with(ResolutionMode::Scalar).unwrap().retained;
+            (stress, a.snapshot().unwrap().to_bytes(), retained)
+        };
+        let conditions = [
+            (OffEvent::held_with_droop(0.8, 0.31), 0),
+            (OffEvent::unpowered(), 20),
+            (OffEvent::held_with_droop(0.8, 0.29), 0),
+            (OffEvent::unpowered(), 30),
+        ];
+        let expected: Vec<_> = conditions.iter().map(|&(e, ms)| scalar(e, ms)).collect();
+        clear_plane_cache();
+        let barrier = std::sync::Barrier::new(conditions.len());
+        let results: Vec<_> = std::thread::scope(|s| {
+            conditions
+                .iter()
+                .zip(&expected)
+                .map(|(&(event, _), &(stress, _, _))| {
+                    let (barrier, dist) = (&barrier, &config.distribution);
+                    s.spawn(move || {
+                        let (planes, _) = planes_for(seed, bits, dist);
+                        barrier.wait();
+                        let q = Query::new(&planes, event, stress, 1);
+                        // Block addresses, as integers so they can leave
+                        // the thread.
+                        let drv = match q.drv {
+                            DrvCheck::Scan(s) => Some(s.rows.as_ptr() as usize),
+                            _ => None,
+                        };
+                        let decay = q.decay.map(|s| s.rows.as_ptr() as usize);
+                        let mut data = PackedBits::zeros(bits);
+                        data.fill_byte(fill);
+                        let retained = resolve(&mut data, &planes, event, stress, 1, true);
+                        (planes, drv, decay, data.to_bytes(), retained)
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("hammer thread panicked"))
+                .collect()
+        });
+        let planes = &results[0].0;
+        let drv_block = planes.drv.get().expect("DRV block built").as_ptr() as usize;
+        let decay_block = planes.decay.get().expect("decay block built").rows.as_ptr() as usize;
+        for ((p, drv, decay, image, retained), (&(event, _), (_, want_image, want_retained))) in
+            results.iter().zip(conditions.iter().zip(&expected))
+        {
+            assert!(Arc::ptr_eq(planes, p), "all threads share one plane set");
+            let held = matches!(event, OffEvent::Held { .. });
+            assert_eq!(*drv, held.then_some(drv_block), "one DRV block for every droop");
+            assert_eq!(*decay, (!held).then_some(decay_block), "one decay block per cold cycle");
+            assert_eq!(retained, want_retained, "{event:?}: retained count");
+            assert_eq!(image, want_image, "{event:?}: image");
+        }
+        clear_plane_cache();
     }
 }

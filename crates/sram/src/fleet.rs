@@ -91,6 +91,7 @@ mod tests {
 
     #[test]
     fn publish_sets_gauges_in_global_registry() {
+        let _guard = crate::global_state_lock();
         metrics::set_enabled(true);
         publish_fleet_metrics();
         let reg = metrics::global();

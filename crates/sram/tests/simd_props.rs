@@ -171,6 +171,55 @@ proptest! {
     }
 }
 
+/// The dense and delta-eligible modes held against the scalar oracle by
+/// [`mixed_event_sequences_agree`].
+const SEQUENCE_MODES: [ResolutionMode; 3] =
+    [ResolutionMode::Scalar, ResolutionMode::BatchedFull, ResolutionMode::Batched];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One fresh die through a random sequence of mixed off events —
+    /// unpowered at random stress, clean holds, droops — so the die's
+    /// lazily built retention blocks come into being in varying orders
+    /// and mid-sequence. Reports and images must agree after every
+    /// cycle.
+    #[test]
+    fn mixed_event_sequences_agree(
+        seed in any::<u64>(),
+        bits in 1usize..9000,
+        fill in any::<u8>(),
+        sequence in proptest::collection::vec(
+            (off_events(), 0u64..400, -120.0f64..30.0),
+            2..=6,
+        ),
+    ) {
+        let config = ArrayConfig::with_bits("simd-sequence", bits);
+        let mut arrays: Vec<SramArray> =
+            SEQUENCE_MODES.iter().map(|_| SramArray::new(config.clone(), seed)).collect();
+        for (a, mode) in arrays.iter_mut().zip(SEQUENCE_MODES) {
+            a.power_on_with(mode).unwrap();
+        }
+        for (cycle, &(event, dt_ms, celsius)) in sequence.iter().enumerate() {
+            let reports: Vec<_> = arrays
+                .iter_mut()
+                .zip(SEQUENCE_MODES)
+                .map(|(a, mode)| {
+                    a.fill(fill).unwrap();
+                    a.power_off(event).unwrap();
+                    a.elapse(Duration::from_millis(dt_ms), Temperature::from_celsius(celsius));
+                    a.power_on_with(mode).unwrap()
+                })
+                .collect();
+            let image = arrays[0].snapshot().unwrap();
+            for (i, a) in arrays.iter().enumerate().skip(1) {
+                prop_assert_eq!(&reports[0], &reports[i], "cycle {} report ({:?})", cycle, event);
+                prop_assert_eq!(&image, &a.snapshot().unwrap(), "cycle {} image ({:?})", cycle, event);
+            }
+        }
+    }
+}
+
 /// Ragged tails: lengths that end mid-word (65), one bit short of a
 /// word boundary (255), and one bit past a full 4-word lane (257). The
 /// wide kernel must mask the final partial lane identically to the
