@@ -841,7 +841,7 @@ fn read_unit(soc: &Soc, unit: &UnitSpec, rec: &Recorder) -> Result<PackedBits, A
         }
         UnitKind::DramRaw { addr, len } => {
             let cells = soc.dram().raw_cells(addr, len).map_err(AttackError::from)?;
-            PackedBits::from_bytes_reusing(cells, par::take_words(cells.len().div_ceil(8)))
+            PackedBits::from_bytes_reusing(&cells, par::take_words(cells.len().div_ceil(8)))
         }
     })
 }
@@ -954,8 +954,8 @@ pub fn extract_dram_raw(
     addr: u64,
     len: usize,
 ) -> Result<Vec<ExtractedImage>, AttackError> {
-    let bytes = soc.dram().raw_cells(addr, len).map_err(AttackError::from)?.to_vec();
-    Ok(vec![ExtractedImage::new(format!("dram@{addr:#x}"), PackedBits::from_bytes(&bytes))])
+    let cells = soc.dram().raw_cells(addr, len).map_err(AttackError::from)?;
+    Ok(vec![ExtractedImage::new(format!("dram@{addr:#x}"), PackedBits::from_bytes(&cells))])
 }
 
 /// A placeholder extraction image: the attacker's USB payload. Its

@@ -164,6 +164,9 @@ impl SweepSpec {
                     if !c.is_finite() {
                         return Err(SpecError("temp_c must be finite".into()));
                     }
+                    if c <= -273.15 {
+                        return Err(SpecError(format!("temp_c {c} is not above absolute zero")));
+                    }
                     spec.temp_c = Some(c);
                 }
                 "off_ms" => spec.off_ms = parsed(key, v)?,
@@ -312,6 +315,17 @@ mod tests {
         let room_implied = report(&["reps=1", "off_ms=0"]);
         let room_explicit = report(&["reps=1", "off_ms=0", "temp_c=25"]);
         assert_eq!(room_implied, room_explicit, "off_ms=0 must not fall back to a 500 ms cycle");
+    }
+
+    #[test]
+    fn temp_c_must_be_above_absolute_zero() {
+        for bad in ["temp_c=-273.15", "temp_c=-300"] {
+            assert!(SweepSpec::parse([bad]).is_err(), "{bad:?} must be rejected");
+        }
+        // Liquid nitrogen is a legal (if optimistic) cold-boot chill.
+        let spec = SweepSpec::parse(["temp_c=-196"]).unwrap();
+        assert_eq!(spec.temp_c, Some(-196.0));
+        spec.campaign();
     }
 
     #[test]

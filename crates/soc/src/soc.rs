@@ -515,17 +515,19 @@ impl Soc {
 
         // Off-chip DRAM loses refresh whenever main power is cut (a held
         // SRAM rail does not refresh the DRAM): charged cells decay
-        // toward their ground state at the ambient temperature.
+        // toward their ground state at the ambient temperature. The DRAM
+        // queues the step and applies it to each page on first touch.
         let event = self.dram_decay_events;
         self.dram_decay_events += 1;
-        crate::dram_remanence::apply_decay(
-            &mut self.dram,
+        if let Some(step) = crate::dram_remanence::DecayStep::new(
             &self.dram_remanence,
             spec.off_duration,
             spec.temperature,
             self.dram_seed,
             event,
-        );
+        ) {
+            self.dram.queue_decay(step);
+        }
 
         // The decay window on the scope: each SRAM rail sits at its held
         // voltage (or zero) for the whole off interval. Sampled at the

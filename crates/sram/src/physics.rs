@@ -110,11 +110,13 @@ impl LeakageModel {
         }
     }
 
-    /// Population-median retention interval at temperature `t`.
+    /// Population-median retention interval at temperature `t`,
+    /// saturating at [`Duration::MAX`] where the Arrhenius factor
+    /// overflows it (the DRAM calibration does below about −180 °C).
     pub fn median_retention(&self, t: Temperature) -> Duration {
         let exponent = (self.activation_energy_ev / BOLTZMANN_EV)
             * (1.0 / t.kelvin() - 1.0 / self.reference.kelvin());
-        Duration::from_secs_f64(self.t_ref_seconds * exponent.exp())
+        Duration::try_from_secs_f64(self.t_ref_seconds * exponent.exp()).unwrap_or(Duration::MAX)
     }
 
     /// Dimensionless decay stress contributed by spending `dt` unpowered at

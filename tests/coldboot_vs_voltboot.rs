@@ -4,6 +4,7 @@
 
 use voltboot::analysis;
 use voltboot::attack::{ColdBootAttack, Extraction, VoltBootAttack};
+use voltboot::recover::crc64;
 use voltboot_armlite::program::builders;
 use voltboot_soc::devices;
 use voltboot_sram::PackedBits;
@@ -22,7 +23,7 @@ fn staged(seed: u64) -> (voltboot_soc::Soc, PackedBits) {
 #[test]
 fn retention_improves_monotonically_with_deeper_cold() {
     let mut last_error = 0.0f64;
-    for celsius in [25.0f64, -40.0, -90.0, -110.0, -150.0] {
+    for celsius in [25.0f64, -40.0, -90.0, -110.0, -150.0, -196.0] {
         let (mut soc, truth) = staged(0xC01D ^ celsius.to_bits());
         let outcome = ColdBootAttack::new(celsius, 20).execute(&mut soc).unwrap();
         let img = &outcome.image("core0.l1d.way0").unwrap().bits;
@@ -35,6 +36,37 @@ fn retention_improves_monotonically_with_deeper_cold() {
     }
     // At -150 C / 20 ms the attack finally works decently...
     assert!(last_error < 0.2, "deep cryogenic retention: {last_error}");
+}
+
+/// CRC-64 and one-bit count of the board's whole raw DRAM image.
+fn dram_digest(soc: &voltboot_soc::Soc) -> (u64, u64) {
+    let cells = soc.dram().raw_cells(0, soc.dram().len()).unwrap();
+    (crc64(&cells), cells.iter().map(|b| u64::from(b.count_ones())).sum())
+}
+
+#[test]
+fn dram_decay_is_pinned_across_power_cycles() {
+    use voltboot_soc::PowerCycleSpec;
+    let fresh = || {
+        let mut soc = devices::raspberry_pi_4(0x2022A5B007);
+        soc.power_on_all();
+        soc
+    };
+    assert_eq!(dram_digest(&fresh()).0, 0xd318_4f3a_cee0_2b2d, "image before any cycle");
+    for (spec, crc, ones) in [
+        (PowerCycleSpec::quick(), 0x4a19_9a89_60e2_2539, 2_247_716),
+        (PowerCycleSpec::cold_boot(-50.0, 60_000), 0xfeb2_5069_238a_2d08, 209_004),
+        // Warm and long: every cell reaches its ground state, so exactly
+        // the anti-cell half of the 64 Mbit reads 1.
+        (PowerCycleSpec::cold_boot(45.0, 120_000), 0xf995_5dcd_db8d_a9d4, 33_554_432),
+    ] {
+        // Two cycles and no boot in between: both queued decay steps are
+        // read back through one settled copy.
+        let mut soc = fresh();
+        soc.power_cycle(spec).unwrap();
+        soc.power_cycle(spec).unwrap();
+        assert_eq!(dram_digest(&soc), (crc, ones), "{spec:?}");
+    }
 }
 
 #[test]
