@@ -375,9 +375,13 @@ impl Soc {
     // ------------------------------------------------------------------
 
     /// Initial board bring-up: powers every SRAM array (first power-on
-    /// leaves them in their power-up states). Independent arrays power
-    /// on in parallel; each array's contents are a pure function of its
-    /// own seed, so the result is identical to the sequential order.
+    /// leaves them in their power-up states). Each array owes that state
+    /// rather than sampling it: a tile is sampled when something first
+    /// reads it or writes part of it, and never if a write covers it
+    /// whole first, so bring-up itself samples nothing. Independent
+    /// arrays power on in parallel; each array's contents are a pure
+    /// function of its own seed, so the result is identical to the
+    /// sequential order.
     pub fn power_on_all(&mut self) {
         let _ = Self::power_on_arrays(
             &mut self.cores,

@@ -202,6 +202,19 @@ pub struct SramArray {
     ever_powered: bool,
     /// Report from the most recent power-on, if it followed an off period.
     last_report: Option<RetentionReport>,
+    /// Owed power-up tiles: one bit per [`engine::TILE_CELLS`]-cell tile
+    /// whose power-up sample of event `owed_event` a certainly-lost
+    /// batched power-on recorded instead of writing. Such a tile's
+    /// `data` words are stale. Reads and [`SramArray::snapshot`] sample
+    /// it on the fly; a write settles it if it covers the tile in part,
+    /// and clears its bit unsampled if it covers the tile whole;
+    /// [`SramArray::restore`] clears every bit. A power-on that changes
+    /// no cell leaves the tiles owed, and a batched one that loses every
+    /// cell drops them unsampled; every other power-on settles them
+    /// first, sharded across threads like a resolve.
+    owed: PackedBits,
+    /// The power-on event whose sample the `owed` tiles stand for.
+    owed_event: u64,
     /// Memoized die planes for the batched resolution engine. Derived
     /// data only — rebuilt on demand after deserialization or cloning.
     #[serde(skip)]
@@ -226,6 +239,8 @@ impl SramArray {
             powerup_events: 0,
             ever_powered: false,
             last_report: None,
+            owed: PackedBits::zeros(bits.div_ceil(engine::TILE_CELLS)),
+            owed_event: 0,
             planes: None,
             name_shared: None,
         }
@@ -287,6 +302,70 @@ impl SramArray {
         rec.incr(if cached { "sram.planes.cache_hits" } else { "sram.planes.built" }, 1);
         self.planes = Some(p.clone());
         p
+    }
+
+    /// The die planes for sampling owed tiles: the memoized set, or —
+    /// after deserialization left the memo empty — the cached one,
+    /// fetched without recording a plane counter.
+    fn owed_planes(&self) -> Arc<engine::DiePlanes> {
+        self.planes.clone().unwrap_or_else(|| {
+            engine::planes_for(self.seed, self.config.bits, &self.config.distribution).0
+        })
+    }
+
+    /// Writes every owed tile's power-up sample into `data` and clears
+    /// the owed bits.
+    fn settle_owed(&mut self) {
+        if self.owed.count_ones() == 0 {
+            return;
+        }
+        let planes = self.owed_planes();
+        engine::settle(&mut self.data, &planes, &self.owed, self.owed_event);
+        self.owed.words_mut().fill(0);
+    }
+
+    /// Readies cells `first..end` for a write: an owed tile the write
+    /// covers whole is no longer owed, unsampled; an owed tile it covers
+    /// in part is settled first, so its other cells keep their sample.
+    fn settle_for_write(&mut self, first: usize, end: usize) {
+        if first >= end || self.owed.count_ones() == 0 {
+            return;
+        }
+        let tile = engine::TILE_CELLS;
+        for t in first / tile..end.div_ceil(tile) {
+            if !self.owed.get(t) {
+                continue;
+            }
+            let covered = first <= t * tile && ((t + 1) * tile).min(self.config.bits) <= end;
+            if !covered {
+                let w0 = t * engine::TILE_WORDS;
+                let w1 = (w0 + engine::TILE_WORDS).min(self.data.word_len());
+                let planes = self.owed_planes();
+                let words = &mut self.data.words_mut()[w0..w1];
+                engine::sample_owed(words, w0, &planes, &self.owed, self.owed_event);
+            }
+            self.owed.set(t, false);
+        }
+    }
+
+    /// The words holding cells `first..end` (from word `first / 64`)
+    /// with owed tiles sampled on the fly; `None` when no tile in the
+    /// range is owed, so the stored words are current.
+    fn sampled_words(&self, first: usize, end: usize) -> Option<Vec<u64>> {
+        let tile = engine::TILE_CELLS;
+        if !(first / tile..end.div_ceil(tile)).any(|t| self.owed.get(t)) {
+            return None;
+        }
+        let words = first / 64..end.div_ceil(64);
+        let mut out = self.data.words()[words.clone()].to_vec();
+        engine::sample_owed(
+            &mut out,
+            words.start,
+            &self.owed_planes(),
+            &self.owed,
+            self.owed_event,
+        );
+        Some(out)
     }
 
     /// The array's name as a shared string, allocated once per array
@@ -363,7 +442,8 @@ impl SramArray {
             };
         // Fast path 2: the whole array certainly lost. The decay budget is
         // lognormal; a stress beyond any plausible tail quantile loses
-        // every cell, so only the power-up state needs sampling.
+        // every cell, so only the power-up state is left to sample (or,
+        // batched, to owe).
         let max_plausible_budget = (self.config.distribution.decay_sigma * 9.0).exp();
         let certainly_lost =
             first_power || (matches!(event, OffEvent::Unpowered) && stress > max_plausible_budget);
@@ -372,14 +452,37 @@ impl SramArray {
             && engine::can_batch(&self.config.distribution, event, stress);
         let wide = matches!(mode, ResolutionMode::Batched | ResolutionMode::BatchedFull);
 
+        // Owed tiles stay owed through a batched cycle that changes no
+        // cell, and a batched certainly-lost cycle owes its own sample in
+        // their place. A batched resolve that loses every cell rewrites
+        // every word, so, like a write that covers them whole, it drops
+        // them unsampled. Every other cycle, and every scalar one,
+        // settles them first, so it resolves against the contents they
+        // stand for.
+        let dist = &self.config.distribution;
+        let keeps_owed = mode != ResolutionMode::Scalar
+            && (certainly_retained
+                || (batch && (certainly_lost || engine::keeps_every_cell(dist, event, stress))));
+        if !keeps_owed {
+            if batch && engine::loses_every_cell(dist, event) {
+                self.owed.words_mut().fill(0);
+            } else {
+                self.settle_owed();
+            }
+        }
+
         if certainly_retained {
             retained = self.config.bits;
         } else if certainly_lost {
             lost = self.config.bits;
             let dist = self.config.distribution;
             if batch {
-                let planes = self.planes(rec);
-                engine::sample_all(&mut self.data, &planes, event_id);
+                // The sample is owed, not written: each tile is sampled
+                // when something reads it or writes it in part, and never
+                // if a write covers it whole first.
+                self.planes(rec);
+                self.owed = PackedBits::ones(self.owed.len());
+                self.owed_event = event_id;
             } else {
                 for i in 0..self.config.bits {
                     let v = CellParams::sample_powerup_only(self.seed, i, &dist, event_id);
@@ -489,7 +592,10 @@ impl SramArray {
     /// [`SramError::OutOfBounds`] if `index` is past the end.
     pub fn read_bit(&self, index: usize) -> Result<bool, SramError> {
         self.check_access(index, 1)?;
-        Ok(self.data.get(index))
+        Ok(match self.sampled_words(index, index + 1) {
+            Some(words) => (words[0] >> (index % 64)) & 1 == 1,
+            None => self.data.get(index),
+        })
     }
 
     /// Writes one bit.
@@ -500,6 +606,7 @@ impl SramArray {
     /// [`SramError::OutOfBounds`] if `index` is past the end.
     pub fn write_bit(&mut self, index: usize, value: bool) -> Result<(), SramError> {
         self.check_access(index, 1)?;
+        self.settle_for_write(index, index + 1);
         self.data.set(index, value);
         Ok(())
     }
@@ -522,7 +629,18 @@ impl SramArray {
     /// [`SramError::OutOfBounds`] if the range is past the end.
     pub fn try_read_bytes(&self, offset: usize, len: usize) -> Result<Vec<u8>, SramError> {
         let first_bit = self.check_byte_access(offset, len)?;
-        Ok(self.data.bytes_at(first_bit, len))
+        let end = first_bit + len * 8;
+        Ok(match self.sampled_words(first_bit, end) {
+            // Eight little-endian bytes per word: byte `k` of the array
+            // is byte `k % 8` of word `k / 8`.
+            Some(words) => words
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .skip(first_bit / 8 % 8)
+                .take(len)
+                .collect(),
+            None => self.data.bytes_at(first_bit, len),
+        })
     }
 
     /// Writes `bytes` starting at byte `offset`.
@@ -543,6 +661,7 @@ impl SramArray {
     /// [`SramError::OutOfBounds`] if the range is past the end.
     pub fn try_write_bytes(&mut self, offset: usize, bytes: &[u8]) -> Result<(), SramError> {
         let first_bit = self.check_byte_access(offset, bytes.len())?;
+        self.settle_for_write(first_bit, first_bit + bytes.len() * 8);
         self.data.copy_bytes_in(first_bit, bytes);
         Ok(())
     }
@@ -556,7 +675,11 @@ impl SramArray {
         if !self.is_powered() {
             return Err(SramError::NotPowered);
         }
-        Ok(self.data.clone())
+        let mut image = self.data.clone();
+        if self.owed.count_ones() > 0 {
+            engine::settle(&mut image, &self.owed_planes(), &self.owed, self.owed_event);
+        }
+        Ok(image)
     }
 
     /// Overwrites the full contents from a bit vector.
@@ -574,10 +697,13 @@ impl SramArray {
         }
         assert_eq!(bits.len(), self.config.bits, "restore size mismatch");
         self.data = bits.clone();
+        self.owed.words_mut().fill(0);
         Ok(())
     }
 
-    /// Fills the whole array with a repeated byte.
+    /// Fills every whole byte of the array with a repeated byte. A
+    /// trailing partial byte (when the bit count is not a multiple of 8)
+    /// keeps its bits, like a byte write of the whole bytes at offset 0.
     ///
     /// # Errors
     ///
@@ -586,6 +712,7 @@ impl SramArray {
         if !self.is_powered() {
             return Err(SramError::NotPowered);
         }
+        self.settle_for_write(0, self.config.bits / 8 * 8);
         self.data.fill_byte(byte);
         Ok(())
     }
@@ -862,6 +989,152 @@ mod tests {
         assert_eq!(lost.min(), 0, "a held cycle loses none");
         let stress = rec.histogram("sram.decay_stress_milli").unwrap();
         assert_eq!(stress.count(), 2);
+    }
+
+    /// A four-tile die plus one byte, powered on once, so every tile is
+    /// owed. Each test passes its own seed, so its plane set is its own.
+    fn owed_array(seed: u64) -> SramArray {
+        let bits = 4 * engine::TILE_CELLS + 8;
+        let mut s = SramArray::new(ArrayConfig::with_bits("owed", bits), seed);
+        s.power_on().unwrap();
+        s
+    }
+
+    /// Power-up tiles the array's plane set has derived.
+    fn tiles_built(s: &SramArray) -> usize {
+        s.planes.as_ref().map_or(0, |p| p.powerup_tiles_built())
+    }
+
+    /// The scalar power-up sample of every cell for event `event_id`.
+    fn powerup_image(s: &SramArray, event_id: u64) -> PackedBits {
+        let mut image = PackedBits::zeros(s.len_bits());
+        for i in 0..s.len_bits() {
+            let dist = &s.config.distribution;
+            image.set(i, CellParams::sample_powerup_only(s.seed, i, dist, event_id));
+        }
+        image
+    }
+
+    #[test]
+    fn certainly_lost_power_on_owes_its_sample() {
+        let mut s = owed_array(0x0ED0_0001);
+        assert_eq!(s.owed.count_ones(), 5, "every tile is owed");
+        assert_eq!(tiles_built(&s), 0, "the first power-on builds no power-up tile");
+        assert!(s.data.words().iter().all(|&w| w == 0), "the first power-on writes no word");
+        assert_eq!(s.snapshot().unwrap(), powerup_image(&s, 0));
+        s.fill(0xA5).unwrap();
+        assert_eq!(s.owed.count_ones(), 0, "a fill covers every tile whole");
+        s.power_off(OffEvent::unpowered()).unwrap();
+        s.elapse(Duration::from_secs(3600), Temperature::ROOM);
+        assert_eq!(s.power_on().unwrap().lost, s.len_bits());
+        assert_eq!((s.owed.count_ones(), s.owed_event), (5, 1), "the cycle owes event 1");
+        assert!(s.snapshot().is_ok_and(|image| image == powerup_image(&s, 1)));
+        assert_eq!(tiles_built(&s), 5, "the snapshot sampled every tile");
+        assert_eq!(s.data.to_bytes(), vec![0xA5; s.len_bytes()], "the cycle wrote no word");
+    }
+
+    #[test]
+    fn a_one_byte_read_builds_one_tile() {
+        let s = owed_array(0x0ED0_0002);
+        let offset = engine::TILE_CELLS / 8 + 3;
+        let want = powerup_image(&s, 0);
+        assert_eq!(s.read_bytes(offset, 1), want.bytes_at(offset * 8, 1));
+        assert_eq!(tiles_built(&s), 1, "a one-byte read builds its own tile only");
+        assert_eq!(s.read_bit(offset * 8 + 5).unwrap(), want.get(offset * 8 + 5));
+        assert_eq!(tiles_built(&s), 1);
+        assert_eq!(s.owed.count_ones(), 5, "reads settle nothing");
+    }
+
+    #[test]
+    fn a_whole_tile_write_clears_the_owed_bit_unsampled() {
+        let mut s = owed_array(0x0ED0_0003);
+        let mut want = powerup_image(&s, 0);
+        let tile_bytes = engine::TILE_CELLS / 8;
+        let mut write = |s: &mut SramArray, offset: usize, bytes: &[u8]| {
+            s.write_bytes(offset, bytes);
+            want.copy_bytes_in(offset * 8, bytes);
+        };
+        write(&mut s, tile_bytes, &vec![0x5A; tile_bytes]);
+        assert!(!s.owed.get(1), "tile 1 is written whole");
+        assert_eq!(tiles_built(&s), 0, "a whole-tile write samples nothing");
+        write(&mut s, 2 * tile_bytes + 7, &[0xFF; 2]);
+        assert!(!s.owed.get(2), "a partial write settles its tile");
+        assert_eq!(tiles_built(&s), 1, "and builds that tile only");
+        // The last tile holds one byte, so a one-byte write covers it.
+        write(&mut s, 4 * tile_bytes, &[0x01]);
+        assert_eq!((s.owed.count_ones(), tiles_built(&s)), (2, 1));
+        s.write_bit(3, true).unwrap();
+        want.set(3, true);
+        assert_eq!((s.owed.count_ones(), tiles_built(&s)), (1, 2), "a bit write settles");
+        assert_eq!(s.snapshot().unwrap(), want);
+        s.restore(&want).unwrap();
+        assert_eq!(s.owed.count_ones(), 0, "a restore clears every owed bit");
+        assert_eq!(s.data, want);
+    }
+
+    #[test]
+    fn a_fill_never_covers_a_trailing_partial_byte() {
+        // The last tile holds 12 cells: one whole byte and four cells of a
+        // partial byte, which a fill leaves alone. So the fill covers the
+        // last tile in part and must settle it.
+        let bits = engine::TILE_CELLS + 12;
+        let mut s = SramArray::new(ArrayConfig::with_bits("owed-tail", bits), 0x0ED0_0007);
+        s.power_on().unwrap();
+        let mut want = powerup_image(&s, 0);
+        s.fill(0x3C).unwrap();
+        want.copy_bytes_in(0, &vec![0x3C; bits / 8]);
+        assert_eq!((s.owed.count_ones(), tiles_built(&s)), (0, 1), "only the last tile settles");
+        assert_eq!(s.snapshot().unwrap(), want);
+    }
+
+    #[test]
+    fn keep_every_cell_cycles_leave_tiles_owed() {
+        let mut s = owed_array(0x0ED0_0004);
+        // A zero-stress unpowered cycle and a clean hold at 0.8 V.
+        for event in [OffEvent::unpowered(), OffEvent::held(0.8)] {
+            s.power_off(event).unwrap();
+            assert_eq!(s.power_on().unwrap().retained, s.len_bits());
+            assert_eq!((s.owed.count_ones(), tiles_built(&s)), (5, 0), "{event:?}");
+        }
+        assert_eq!(s.snapshot().unwrap(), powerup_image(&s, 0));
+    }
+
+    #[test]
+    fn a_partial_droop_settles_before_it_resolves() {
+        // A droop keeps some cells, so it must resolve against settled
+        // contents; a hold below `drv_min` loses every cell and rewrites
+        // every word, so it may drop the owed tiles unsampled.
+        for (k, event) in
+            [OffEvent::held_with_droop(0.8, 0.31), OffEvent::held(0.04)].into_iter().enumerate()
+        {
+            let mut s = owed_array(0x0ED0_0005 + 0x100 * k as u64);
+            let mut reference = SramArray::new(s.config.clone(), s.seed);
+            reference.power_on_with(ResolutionMode::Scalar).unwrap();
+            for a in [&mut s, &mut reference] {
+                a.power_off(event).unwrap();
+            }
+            let report = s.power_on().unwrap();
+            assert_eq!(report.retained > 0, k == 0, "{event:?}: {report:?}");
+            assert_eq!(report, reference.power_on_with(ResolutionMode::Scalar).unwrap());
+            assert_eq!(s.owed.count_ones(), 0, "{event:?}");
+            assert_eq!(s.data, reference.data, "{event:?}: the stored words are current");
+        }
+    }
+
+    #[test]
+    fn a_large_owed_array_settles_sharded_to_its_on_the_fly_image() {
+        let bits = engine::PAR_MIN_BITS + 3 * engine::TILE_CELLS + 5;
+        let mut s = SramArray::new(ArrayConfig::with_bits("owed-large", bits), 0x0ED0_0006);
+        s.power_on().unwrap();
+        let on_the_fly = crate::par::with_budget(1, || s.snapshot().unwrap());
+        crate::par::with_budget(4, || s.settle_owed());
+        assert_eq!(s.owed.count_ones(), 0);
+        assert_eq!(s.data, on_the_fly);
+        let dist = s.config.distribution;
+        for i in (0..bits).step_by(4099).chain(bits - 70..bits) {
+            let want = CellParams::sample_powerup_only(s.seed, i, &dist, 0);
+            assert_eq!(s.data.get(i), want, "cell {i}");
+        }
     }
 
     #[test]

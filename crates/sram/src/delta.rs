@@ -73,7 +73,7 @@
 
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
-use crate::engine::{self, DiePlanes};
+use crate::engine::{self, DiePlanes, TILE_WORDS};
 use crate::rng;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,9 +118,12 @@ impl Baseline {
     fn apply(&self, data: &mut PackedBits, event_id: u64) -> usize {
         let ev_base = rng::event_base(self.planes.seed(), event_id);
         let words = data.words_mut();
+        // The baseline's scan built every power-up tile, so each fetch
+        // is one load of a built tile, never a wait on a build.
         for rec in self.hot.chunks_exact(HOT_STRIDE) {
             let w = rec[0] as usize;
-            let meta = engine::sample_meta_word(rec[3], w, &self.planes, ev_base);
+            let pw = &self.planes.powerup_tile(w / TILE_WORDS)[w % TILE_WORDS];
+            let meta = engine::sample_meta_word(rec[3], w, pw, &self.planes, ev_base);
             words[w] = (words[w] & rec[1]) | rec[2] | meta;
         }
         self.retained

@@ -12,12 +12,16 @@
 //! scalar path:
 //!
 //! 1. **Die planes** ([`DiePlanes`]) — per `(seed, distribution, size)`,
-//!    three blocks, each derived once and only when a query first needs
-//!    it:
+//!    three blocks, each derived once and only when something first
+//!    needs it:
 //!
 //!    * the **power-up block** — per word, the strong-1 and metastable
 //!      masks plus one quantized bias byte per cell (1.25 B/cell) — is
-//!      built with the planes, since every first power-on samples it;
+//!      built one 64-word (4096-cell) tile at a time, by the first
+//!      sample that needs the tile: a read, partial write or settle of
+//!      an owed tile (see [`SramArray`](crate::SramArray)'s owed
+//!      power-up tiles), or a query that can lose a cell, which builds
+//!      the whole block before its kernels fan out;
 //!    * the **DRV block** — every cell's DRV quantized onto a 12-bit
 //!      grid (1.5 B/cell) — is built by the first held-rail query whose
 //!      threshold falls inside the DRV range (a droop);
@@ -32,10 +36,12 @@
 //!    another ~0.13 bytes per cell per cycle, while each bit *removed*
 //!    doubles the (cheap, exact) bucket-tie fallback rate — these widths
 //!    keep ties in the low thousands per megabyte while the warm cycle
-//!    stays bandwidth-lean. A fresh die's first power-on, a
-//!    certainly-lost cycle, a clean held rail and a zero-stress cycle
-//!    read only the power-up block, so they never pay the per-cell
-//!    Box–Muller draws the retention blocks cost.
+//!    stays bandwidth-lean. A fresh die's first power-on and a
+//!    certainly-lost cycle owe their power-up sample instead of writing
+//!    it, and a clean held rail or a zero-stress cycle keeps every cell,
+//!    so none of them derives anything: only the tiles later reads and
+//!    writes touch pay their power-up draws, and only droops and cold
+//!    cycles pay the per-cell Box–Muller draws of the retention blocks.
 //!    Planes are memoized on the array and in a bounded global cache, so
 //!    repeated cycles of the same die (the common case) derive nothing.
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
@@ -76,8 +82,9 @@ pub const PAR_MIN_BITS: usize = 1 << 22;
 /// working set of a resolution step fits in L1.
 pub(crate) const TILE_WORDS: usize = 64;
 
-/// Cells per tile.
-const TILE_CELLS: usize = TILE_WORDS * 64;
+/// Cells per tile: the unit the power-up block is built in, and the
+/// unit an array owes its power-up sample in.
+pub(crate) const TILE_CELLS: usize = TILE_WORDS * 64;
 
 /// Bits in the decay-budget bucket grid (one bit-plane row each).
 ///
@@ -93,17 +100,18 @@ const DECAY_BITS: usize = 14;
 const DRV_BITS: usize = 12;
 
 /// Total cells the global plane cache may hold before evicting the
-/// oldest die. Each cached cell costs 1.25 bytes of power-up block, plus
-/// 1.5 bytes of DRV rows and 1.75 bytes of decay rows (and one 128 KiB
-/// cut table per die) once a query has built those blocks.
+/// oldest die. A cached die costs 16 bytes per tile up front; each
+/// power-up tile something has sampled adds 1.25 bytes per cell, and
+/// the DRV and decay rows add 1.5 and 1.75 bytes per cell (and one
+/// 128 KiB cut table per die) once a query has built those blocks.
 const MAX_CACHED_CELLS: usize = 48 << 20;
 
 /// Most dies the global plane cache retains at once. The cell cap alone
 /// does not bound a fleet sweep over millions of *small* virtual dies —
-/// a 4 Kib die occupies one tile, 5 KiB of power-up block plus up to
-/// 13 KiB of retention rows and a 128 KiB cut table once queried, so
-/// 10⁶ of them would grow the cache by gigabytes. The entry cap keeps
-/// the steady-state footprint proportional to the working set.
+/// a 4 Kib die occupies one tile, 5 KiB of power-up block once sampled
+/// plus up to 13 KiB of retention rows and a 128 KiB cut table once
+/// queried, so 10⁶ of them would grow the cache by gigabytes. The entry
+/// cap keeps the steady-state footprint proportional to the working set.
 pub const MAX_CACHED_DIES: usize = 1024;
 
 /// Rep-delta baselines retained per die entry (FIFO). One baseline per
@@ -235,11 +243,14 @@ impl DrvGrid {
 /// the bias bytes a lost word's metastable sampling reads sit side by
 /// side.
 #[derive(Clone, Copy)]
-struct PowerUpWord {
+pub(crate) struct PowerUpWord {
     strong1: u64,
     metastable: u64,
     bias_q: [u8; 64],
 }
+
+/// One tile's share of the power-up block (5 KiB).
+pub(crate) type PowerUpTile = [PowerUpWord; TILE_WORDS];
 
 /// The decay block: bucket rows plus the cut table that bucketed them
 /// (which also buckets each query's stress).
@@ -249,9 +260,17 @@ struct DecayBlock {
 }
 
 /// Precomputed per-cell parameter planes for one die, in three blocks.
+/// Building the planes derives nothing; each block waits for its first
+/// need.
 ///
-/// * The **power-up block** is one [`PowerUpWord`] per array word,
-///   derived when the planes are built: every first power-on samples it.
+/// * The **power-up block** is one [`PowerUpWord`] per array word, in a
+///   [`OnceLock`] per [`TILE_WORDS`]-word tile. A tile is derived by the
+///   first sample that needs it ([`DiePlanes::powerup_tile`]): an
+///   array's owed power-up tiles are sampled when read, partly written
+///   or settled, and a query that can lose a cell derives the whole
+///   block before its kernels fan out ([`Query::new`]). A fresh die
+///   whose arrays are mostly overwritten whole or never read derives
+///   only the tiles something looks at.
 /// * The **DRV block** and the **decay block** are *retention blocks*,
 ///   each in its own [`OnceLock`] and derived by the first query that
 ///   scans it ([`Query::new`]). Only droop queries read DRVs and only
@@ -271,8 +290,11 @@ pub(crate) struct DiePlanes {
     seed: u64,
     bits: usize,
     dist: CellDistribution,
-    /// The power-up block, one record per word.
-    powerup: Vec<PowerUpWord>,
+    /// The power-up block, one tile per [`TILE_WORDS`] words, each built
+    /// on first need.
+    powerup: Box<[OnceLock<Box<PowerUpTile>>]>,
+    /// Set once every power-up tile is built ([`DiePlanes::build_powerup`]).
+    powerup_whole: OnceLock<()>,
     /// DRV bucket rows, built on first need.
     drv: OnceLock<Vec<u64>>,
     /// Decay-budget bucket rows and their cut table, built on first need.
@@ -301,16 +323,29 @@ impl DiePlanes {
         plane_key(self.seed, self.bits, &self.dist)
     }
 
-    /// Derives the power-up block for one die; the retention blocks wait
-    /// for their first query.
+    /// Sets up the planes of one die. Derives nothing: every block waits
+    /// for the first sample or query that needs it.
     fn build(seed: u64, bits: usize, dist: &CellDistribution) -> Self {
-        let empty = PowerUpWord { strong1: 0, metastable: 0, bias_q: [0; 64] };
-        let mut powerup = vec![empty; bits.div_ceil(64)];
-        fill_tiles(bits, &mut powerup, TILE_WORDS, |tile0, run| {
-            for (k, pw) in run.iter_mut().enumerate() {
-                let cell0 = (tile0 * TILE_WORDS + k) * 64;
-                for b in 0..(bits - cell0).min(64) {
-                    let (kind, bias) = derive_powerup(seed, cell0 + b, dist);
+        DiePlanes {
+            seed,
+            bits,
+            dist: *dist,
+            powerup: (0..bits.div_ceil(TILE_CELLS)).map(|_| OnceLock::new()).collect(),
+            powerup_whole: OnceLock::new(),
+            drv: OnceLock::new(),
+            decay: OnceLock::new(),
+        }
+    }
+
+    /// Tile `t` of the power-up block, derived on first call.
+    pub(crate) fn powerup_tile(&self, t: usize) -> &PowerUpTile {
+        self.powerup[t].get_or_init(|| {
+            let empty = PowerUpWord { strong1: 0, metastable: 0, bias_q: [0; 64] };
+            let mut tile = Box::new([empty; TILE_WORDS]);
+            for (k, pw) in tile.iter_mut().enumerate() {
+                let cell0 = (t * TILE_WORDS + k) * 64;
+                for b in 0..self.bits.saturating_sub(cell0).min(64) {
+                    let (kind, bias) = derive_powerup(self.seed, cell0 + b, &self.dist);
                     match kind {
                         PowerUpKind::Strong0 => {}
                         PowerUpKind::Strong1 => pw.strong1 |= 1 << b,
@@ -319,8 +354,26 @@ impl DiePlanes {
                     pw.bias_q[b] = prob_bucket(bias);
                 }
             }
+            tile
+        })
+    }
+
+    /// Power-up tiles derived so far.
+    #[cfg(test)]
+    pub(crate) fn powerup_tiles_built(&self) -> usize {
+        self.powerup.iter().filter(|t| t.get().is_some()).count()
+    }
+
+    /// Derives every power-up tile not yet built, tile-sharded like a
+    /// resolve, on first call.
+    fn build_powerup(&self) {
+        self.powerup_whole.get_or_init(|| {
+            for_tile_runs(self.bits, |tiles| {
+                for t in tiles {
+                    self.powerup_tile(t);
+                }
+            })
         });
-        DiePlanes { seed, bits, dist: *dist, powerup, drv: OnceLock::new(), decay: OnceLock::new() }
     }
 
     /// The DRV block, derived on first call.
@@ -345,28 +398,50 @@ impl DiePlanes {
     }
 }
 
+/// Tiles each worker takes when work over a `bits`-cell array fans out
+/// across scoped threads, or `None` when it stays on the calling thread:
+/// below [`PAR_MIN_BITS`], or under a parallelism budget of one. Every
+/// result is a pure function of cell indices, so the split never changes
+/// one; splitting on tile boundaries keeps each tile's words, planes and
+/// owed bit on one worker.
+fn tiles_per_shard(bits: usize) -> Option<usize> {
+    let threads = par::effective_parallelism();
+    (bits >= PAR_MIN_BITS && threads > 1).then(|| bits.div_ceil(TILE_CELLS).div_ceil(threads))
+}
+
 /// Fills a plane vector laid out as `per_tile` elements per tile by
 /// handing `fill` runs of whole tiles along with the index of each run's
-/// first tile. Arrays at or above [`PAR_MIN_BITS`] split the tiles
-/// across scoped threads; every element is a pure function of its cell
-/// indices, so the split never changes the planes.
+/// first tile, split across threads by [`tiles_per_shard`].
 fn fill_tiles<T: Send>(
     bits: usize,
     out: &mut [T],
     per_tile: usize,
     fill: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let n_tiles = bits.div_ceil(TILE_CELLS);
-    let threads = par::effective_parallelism();
-    if bits < PAR_MIN_BITS || threads <= 1 || n_tiles <= 1 {
+    let Some(per_shard) = tiles_per_shard(bits) else {
         fill(0, out);
         return;
-    }
-    let per_shard = n_tiles.div_ceil(threads);
+    };
     std::thread::scope(|s| {
         let fill = &fill;
         for (i, run) in out.chunks_mut(per_shard * per_tile).enumerate() {
             s.spawn(move || fill(i * per_shard, run));
+        }
+    });
+}
+
+/// Hands `run` contiguous runs of tile indices covering a `bits`-cell
+/// array, split across threads by [`tiles_per_shard`].
+fn for_tile_runs(bits: usize, run: impl Fn(std::ops::Range<usize>) + Sync) {
+    let n_tiles = bits.div_ceil(TILE_CELLS);
+    let Some(per_shard) = tiles_per_shard(bits) else {
+        run(0..n_tiles);
+        return;
+    };
+    std::thread::scope(|s| {
+        let run = &run;
+        for t0 in (0..n_tiles).step_by(per_shard) {
+            s.spawn(move || run(t0..(t0 + per_shard).min(n_tiles)));
         }
     });
 }
@@ -735,9 +810,35 @@ pub(crate) fn can_batch(dist: &CellDistribution, event: OffEvent, stress: f64) -
     grid_ok && event_ok && !stress.is_nan()
 }
 
-/// One power-cycle resolution query, pre-bucketized against the die's
-/// quantizer grids, holding the slices of exactly the retention blocks
-/// it scans — so the kernels never touch a lock.
+/// Whether a batchable query keeps every cell: it scans no DRV row (an
+/// unpowered rail, or a hold whose minimum stays at or above `drv_max`)
+/// and no decay row (`stress <= 0`). In practice this is an unpowered
+/// rail with no stress, such as a zero-length off interval. Such a
+/// cycle changes no cell, so it needs neither the planes nor settled
+/// contents.
+pub(crate) fn keeps_every_cell(dist: &CellDistribution, event: OffEvent, stress: f64) -> bool {
+    stress <= 0.0
+        && match event {
+            OffEvent::Unpowered => true,
+            OffEvent::Held { voltage, transient_min_voltage } => {
+                voltage.min(transient_min_voltage) >= dist.drv_max
+            }
+        }
+}
+
+/// Whether a batchable query loses every cell: a hold whose minimum
+/// falls below `drv_min`, so the DRV check fails every cell. Such a
+/// resolve rewrites every word from the power-up block alone, so it
+/// needs no settled contents.
+pub(crate) fn loses_every_cell(dist: &CellDistribution, event: OffEvent) -> bool {
+    matches!(event, OffEvent::Held { voltage, transient_min_voltage }
+        if voltage.min(transient_min_voltage) < dist.drv_min)
+}
+
+/// One power-cycle resolution query that can lose a cell (see
+/// [`keeps_every_cell`]), pre-bucketized against the die's quantizer
+/// grids, holding the slices of exactly the retention blocks it scans —
+/// so the kernels never touch a lock.
 struct Query<'a> {
     planes: &'a DiePlanes,
     /// Hoisted cell-independent half of the per-event RNG word
@@ -776,7 +877,9 @@ enum DrvCheck<'a> {
 impl<'a> Query<'a> {
     /// Builds the query, deriving (tile-sharded, on the calling thread —
     /// before any kernel fans out) each retention block it is the first
-    /// to need.
+    /// to need, and the whole power-up block, which its lost cells
+    /// sample. The kernels then fetch each power-up tile once, already
+    /// built.
     fn new(planes: &'a DiePlanes, event: OffEvent, stress: f64, event_id: u64) -> Self {
         let dist = &planes.dist;
         let drv = match event {
@@ -800,6 +903,7 @@ impl<'a> Query<'a> {
             let block = planes.decay_block();
             Scan { rows: &block.rows, value: stress, bucket: block.cuts.bucket(stress) }
         });
+        planes.build_powerup();
         Query { planes, ev_base: event_base(planes.seed, event_id), decay, drv }
     }
 }
@@ -914,43 +1018,51 @@ fn keep_chunk<const N: usize>(word0: usize, q: &Query<'_>) -> ([u64; N], [u64; N
 
 /// Resolves `N` consecutive words: decides retention for their cells by
 /// mask algebra over the retention blocks' bit-planes ([`keep_chunk`]),
-/// samples power-up values for the lost ones, and returns the retained
-/// count. Same one-tile precondition as [`keep_chunk`].
+/// samples power-up values for the lost ones from `tile` (the words'
+/// power-up tile), and returns the retained count. Same one-tile
+/// precondition as [`keep_chunk`].
 ///
 /// `N = 4` is the wide path (a 256-bit effective lane per row
 /// operation, unrolled over four `u64`s — portable, no intrinsics);
 /// `N = 1` is the word oracle the wide path is tested against and the
 /// remainder path at array edges.
 #[inline]
-fn resolve_chunk<const N: usize>(data: &mut [u64; N], word0: usize, q: &Query<'_>) -> u32 {
+fn resolve_chunk<const N: usize>(
+    data: &mut [u64; N],
+    word0: usize,
+    q: &Query<'_>,
+    tile: &PowerUpTile,
+) -> u32 {
     let (keep, valid) = keep_chunk::<N>(word0, q);
     let mut retained = 0u32;
     for i in 0..N {
         retained += keep[i].count_ones();
         let lost = valid[i] & !keep[i];
         if lost != 0 {
-            data[i] = (data[i] & !lost) | powerup_word(lost, word0 + i, q.planes, q.ev_base);
+            let word = word0 + i;
+            let pw = &tile[word % TILE_WORDS];
+            data[i] = (data[i] & !lost) | powerup_word(lost, word, pw, q.planes, q.ev_base);
         }
     }
     retained
 }
 
-/// Samples power-up values for the cells of `mask` within `word`:
-/// strong-1 cells read 1, strong-0 cells read 0, metastable cells are
-/// re-sampled per power-on event. The per-event RNG draw is inherently
-/// per-cell; everything around it is mask algebra.
+/// Samples power-up values for the cells of `mask` within `word`, whose
+/// power-up record is `pw`: strong-1 cells read 1, strong-0 cells read
+/// 0, metastable cells are re-sampled per power-on event. The per-event
+/// RNG draw is inherently per-cell; everything around it is mask
+/// algebra.
 #[inline]
-fn powerup_word(mask: u64, word: usize, planes: &DiePlanes, ev_base: u64) -> u64 {
-    let pw = &planes.powerup[word];
-    (pw.strong1 & mask) | sample_meta_word(pw.metastable & mask, word, planes, ev_base)
+fn powerup_word(mask: u64, word: usize, pw: &PowerUpWord, planes: &DiePlanes, ev_base: u64) -> u64 {
+    (pw.strong1 & mask) | sample_meta_word(pw.metastable & mask, word, pw, planes, ev_base)
 }
 
 /// Samples fresh per-event values for the metastable cells of `meta`
-/// within absolute word `word` — the inner loop of [`powerup_word`],
-/// shared verbatim with the rep-delta apply kernel so the sparse path's
-/// draws are identical to the dense path's *by construction*: both
-/// finish the same hoisted `ev_base` with one
-/// [`event_word_at`] keyed on the absolute cell index.
+/// within absolute word `word`, whose power-up record is `pw` — the
+/// inner loop of [`powerup_word`], shared verbatim with the rep-delta
+/// apply kernel so the sparse path's draws are identical to the dense
+/// path's *by construction*: both finish the same hoisted `ev_base`
+/// with one [`event_word_at`] keyed on the absolute cell index.
 ///
 /// The per-cell draw is integer-only on the common path: the uniform
 /// sample's probability bucket is the random word's top byte (see
@@ -959,8 +1071,14 @@ fn powerup_word(mask: u64, word: usize, planes: &DiePlanes, ev_base: u64) -> u64
 /// bucket ties. `ev_base` is the hoisted [`crate::rng::event_base`] of
 /// the power-on event.
 #[inline(always)]
-pub(crate) fn sample_meta_word(meta: u64, word: usize, planes: &DiePlanes, ev_base: u64) -> u64 {
-    let bias_q = &planes.powerup[word].bias_q;
+pub(crate) fn sample_meta_word(
+    meta: u64,
+    word: usize,
+    pw: &PowerUpWord,
+    planes: &DiePlanes,
+    ev_base: u64,
+) -> u64 {
+    let bias_q = &pw.bias_q;
     let mut value = 0u64;
     let mut meta = meta;
     while meta != 0 {
@@ -985,7 +1103,8 @@ pub(crate) fn sample_meta_word(meta: u64, word: usize, planes: &DiePlanes, ev_ba
 
 /// Resolves a full power cycle against the planes, writing power-up
 /// samples for lost cells directly into `data`'s words. Returns the
-/// number of retained cells.
+/// number of retained cells. A query that keeps every cell returns at
+/// once: it would write nothing.
 ///
 /// `wide` selects the 4-word (256-bit) lane kernel; `false` forces the
 /// single-word oracle everywhere
@@ -998,37 +1117,45 @@ pub(crate) fn resolve(
     event_id: u64,
     wide: bool,
 ) -> usize {
+    if keeps_every_cell(&planes.dist, event, stress) {
+        return planes.bits();
+    }
     let q = Query::new(planes, event, stress, event_id);
     run_words(data, planes.bits(), |words, word_base| {
         let mut retained = 0usize;
-        let mut k = 0usize;
-        while k < words.len() {
-            let word = word_base + k;
-            let tile_left = TILE_WORDS - word % TILE_WORDS;
-            if wide && words.len() - k >= 4 && tile_left >= 4 {
-                let chunk: &mut [u64; 4] = (&mut words[k..k + 4]).try_into().expect("4-word chunk");
-                retained += resolve_chunk::<4>(chunk, word, &q) as usize;
-                k += 4;
-            } else {
-                let chunk: &mut [u64; 1] = (&mut words[k..k + 1]).try_into().expect("1-word chunk");
-                retained += resolve_chunk::<1>(chunk, word, &q) as usize;
-                k += 1;
+        for (i, words) in words.chunks_mut(TILE_WORDS).enumerate() {
+            let word0 = word_base + i * TILE_WORDS;
+            let tile = planes.powerup_tile(word0 / TILE_WORDS);
+            let mut k = 0usize;
+            while k < words.len() {
+                if wide && words.len() - k >= 4 {
+                    let chunk: &mut [u64; 4] =
+                        (&mut words[k..k + 4]).try_into().expect("4-word chunk");
+                    retained += resolve_chunk::<4>(chunk, word0 + k, &q, tile) as usize;
+                    k += 4;
+                } else {
+                    let chunk: &mut [u64; 1] =
+                        (&mut words[k..k + 1]).try_into().expect("1-word chunk");
+                    retained += resolve_chunk::<1>(chunk, word0 + k, &q, tile) as usize;
+                    k += 1;
+                }
             }
         }
         retained
     })
 }
 
-/// Appends word `word` to the hot list if any valid cell was lost, and
-/// accumulates the retained count. One record is [`crate::delta`]'s
-/// `HOT_STRIDE` words: absolute word index; keep mask with padding bits
-/// forced on (the full path's `data & !lost` preserves padding, so the
-/// delta's `data & keep` must too); strong-1 values of the lost cells;
-/// metastable mask of the lost cells.
+/// Appends word `word`, whose power-up record is `pw`, to the hot list
+/// if any valid cell was lost, and accumulates the retained count. One
+/// record is [`crate::delta`]'s `HOT_STRIDE` words: absolute word index;
+/// keep mask with padding bits forced on (the full path's
+/// `data & !lost` preserves padding, so the delta's `data & keep` must
+/// too); strong-1 values of the lost cells; metastable mask of the lost
+/// cells.
 fn note_hot_word(
     hot: &mut Vec<u64>,
     retained: &mut usize,
-    planes: &DiePlanes,
+    pw: &PowerUpWord,
     word: usize,
     keep: u64,
     valid: u64,
@@ -1036,7 +1163,6 @@ fn note_hot_word(
     *retained += keep.count_ones() as usize;
     let lost = valid & !keep;
     if lost != 0 {
-        let pw = &planes.powerup[word];
         hot.extend_from_slice(&[
             word as u64,
             keep | !valid,
@@ -1056,72 +1182,113 @@ pub(crate) fn build_baseline(
     event: OffEvent,
     stress: f64,
 ) -> crate::delta::Baseline {
+    let bits = planes.bits();
+    if keeps_every_cell(&planes.dist, event, stress) {
+        return crate::delta::Baseline::new(planes.clone(), Vec::new(), bits);
+    }
     // The event id only feeds `ev_base`, which the keep scan never
     // reads; 0 is as good as any.
     let q = Query::new(planes, event, stress, 0);
-    let bits = planes.bits();
     let words = bits.div_ceil(64);
+    // Scans words `w0..w1`; `w0` is tile-aligned.
     let scan = |w0: usize, w1: usize| -> (Vec<u64>, usize) {
         let mut hot = Vec::new();
         let mut retained = 0usize;
-        let mut k = w0;
-        while k < w1 {
-            let tile_left = TILE_WORDS - k % TILE_WORDS;
-            if w1 - k >= 4 && tile_left >= 4 {
-                let (keep, valid) = keep_chunk::<4>(k, &q);
-                for i in 0..4 {
-                    note_hot_word(&mut hot, &mut retained, planes, k + i, keep[i], valid[i]);
+        for word0 in (w0..w1).step_by(TILE_WORDS) {
+            let tile = planes.powerup_tile(word0 / TILE_WORDS);
+            let n = TILE_WORDS.min(w1 - word0);
+            let mut k = 0usize;
+            while k < n {
+                if n - k >= 4 {
+                    let (keep, valid) = keep_chunk::<4>(word0 + k, &q);
+                    for i in 0..4 {
+                        let pw = &tile[k + i];
+                        note_hot_word(
+                            &mut hot,
+                            &mut retained,
+                            pw,
+                            word0 + k + i,
+                            keep[i],
+                            valid[i],
+                        );
+                    }
+                    k += 4;
+                } else {
+                    let (keep, valid) = keep_chunk::<1>(word0 + k, &q);
+                    note_hot_word(&mut hot, &mut retained, &tile[k], word0 + k, keep[0], valid[0]);
+                    k += 1;
                 }
-                k += 4;
-            } else {
-                let (keep, valid) = keep_chunk::<1>(k, &q);
-                note_hot_word(&mut hot, &mut retained, planes, k, keep[0], valid[0]);
-                k += 1;
             }
         }
         (hot, retained)
     };
-    let threads = par::effective_parallelism();
-    let (hot, retained) = if bits < PAR_MIN_BITS || threads <= 1 || words <= 1 {
-        scan(0, words)
-    } else {
-        let chunk = words.div_ceil(threads).next_multiple_of(TILE_WORDS);
-        let shards: Vec<(Vec<u64>, usize)> = std::thread::scope(|s| {
-            (0..words.div_ceil(chunk))
-                .map(|i| {
-                    let scan = &scan;
-                    s.spawn(move || scan(i * chunk, ((i + 1) * chunk).min(words)))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("baseline worker panicked"))
-                .collect()
-        });
-        let mut hot = Vec::with_capacity(shards.iter().map(|(h, _)| h.len()).sum());
-        let mut retained = 0usize;
-        // Shards are collected in word order, so the flat hot list stays
-        // sorted by absolute word index.
-        for (h, r) in shards {
-            hot.extend_from_slice(&h);
-            retained += r;
+    let (hot, retained) = match tiles_per_shard(bits) {
+        None => scan(0, words),
+        Some(per_shard) => {
+            let chunk = per_shard * TILE_WORDS;
+            let shards: Vec<(Vec<u64>, usize)> = std::thread::scope(|s| {
+                (0..words)
+                    .step_by(chunk)
+                    .map(|w0| {
+                        let scan = &scan;
+                        s.spawn(move || scan(w0, (w0 + chunk).min(words)))
+                    })
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .map(|h| h.join().expect("baseline worker panicked"))
+                    .collect()
+            });
+            let mut hot = Vec::with_capacity(shards.iter().map(|(h, _)| h.len()).sum());
+            let mut retained = 0usize;
+            // Shards are collected in word order, so the flat hot list
+            // stays sorted by absolute word index.
+            for (h, r) in shards {
+                hot.extend_from_slice(&h);
+                retained += r;
+            }
+            (hot, retained)
         }
-        (hot, retained)
     };
     crate::delta::Baseline::new(planes.clone(), hot, retained)
 }
 
-/// Samples a fresh power-up state for every cell (the first power-on and
-/// the certainly-lost fast path) from the power-up block alone.
-/// Bit-exact with per-cell
+/// Overwrites the words of `words` — absolute words `word0..` of an
+/// array — that lie in a tile marked in `owed` (one bit per tile) with
+/// that tile's power-up sample for event `event_id`: the value a
+/// certainly-lost power-on would have written there. Bit-exact with
+/// per-cell
 /// [`CellParams::sample_powerup_only`](crate::CellParams::sample_powerup_only).
-pub(crate) fn sample_all(data: &mut PackedBits, planes: &DiePlanes, event_id: u64) {
+/// Fetches each owed tile's power-up record once, deriving it on first
+/// need; unowed words are left as they are.
+pub(crate) fn sample_owed(
+    words: &mut [u64],
+    word0: usize,
+    planes: &DiePlanes,
+    owed: &PackedBits,
+    event_id: u64,
+) {
     let ev_base = event_base(planes.seed, event_id);
-    run_words(data, planes.bits(), |words, word_base| {
-        for (k, w) in words.iter_mut().enumerate() {
-            let word = word_base + k;
-            *w = powerup_word(valid_mask(planes.bits(), word), word, planes, ev_base);
+    let end = word0 + words.len();
+    for t in word0 / TILE_WORDS..end.div_ceil(TILE_WORDS) {
+        if !owed.get(t) {
+            continue;
         }
-        0usize
+        let tile = planes.powerup_tile(t);
+        for word in (t * TILE_WORDS).max(word0)..((t + 1) * TILE_WORDS).min(end) {
+            let pw = &tile[word % TILE_WORDS];
+            words[word - word0] =
+                powerup_word(valid_mask(planes.bits, word), word, pw, planes, ev_base);
+        }
+    }
+}
+
+/// Writes every owed tile's power-up sample ([`sample_owed`]) into
+/// `data` in place, sharded across threads like a resolve, so each
+/// worker derives the power-up tiles of its own shard.
+pub(crate) fn settle(data: &mut PackedBits, planes: &DiePlanes, owed: &PackedBits, event_id: u64) {
+    run_words(data, planes.bits(), |words, word_base| {
+        sample_owed(words, word_base, planes, owed, event_id);
+        0
     });
 }
 
@@ -1143,28 +1310,22 @@ fn valid_mask(bits: usize, word: usize) -> u64 {
 /// pool size for short arrays). Bench snapshots report this instead of
 /// the raw pool size so the recorded thread count matches what ran.
 pub fn resolution_workers(bits: usize) -> usize {
-    let words = bits.div_ceil(64);
-    let threads = par::effective_parallelism();
-    if bits < PAR_MIN_BITS || threads <= 1 || words <= 1 {
-        return 1;
-    }
-    let chunk = words.div_ceil(threads).next_multiple_of(TILE_WORDS);
-    words.div_ceil(chunk)
+    tiles_per_shard(bits).map_or(1, |per_shard| bits.div_ceil(TILE_CELLS).div_ceil(per_shard))
 }
 
 /// Runs `kernel` over the array's words, sharding across scoped threads
-/// on tile-aligned boundaries when the array is large enough, and sums
-/// the per-shard results.
+/// on tile-aligned boundaries ([`tiles_per_shard`]) when the array is
+/// large enough, and sums the per-shard results. Each call's first word
+/// index is tile-aligned.
 fn run_words<F>(data: &mut PackedBits, bits: usize, kernel: F) -> usize
 where
     F: Fn(&mut [u64], usize) -> usize + Sync,
 {
     let words = data.words_mut();
-    let threads = par::effective_parallelism();
-    if bits < PAR_MIN_BITS || threads <= 1 || words.len() <= 1 {
+    let Some(per_shard) = tiles_per_shard(bits) else {
         return kernel(words, 0);
-    }
-    let chunk = words.len().div_ceil(threads).next_multiple_of(TILE_WORDS);
+    };
+    let chunk = per_shard * TILE_WORDS;
     std::thread::scope(|s| {
         let kernel = &kernel;
         words
@@ -1395,22 +1556,26 @@ mod tests {
         let dist = CellDistribution::calibrated();
         let (seed, bits) = (0x1A2B_3C4D, 3 * TILE_CELLS + 77);
         let planes = DiePlanes::build(seed, bits, &dist);
+        let n_tiles = bits.div_ceil(TILE_CELLS);
+        assert_eq!(planes.powerup_tiles_built(), 0, "building the planes derives nothing");
         let mut data = PackedBits::zeros(bits);
-        // The first power-on and a certainly-lost cycle sample power-up
-        // values; a clean hold at `drv_max` and a zero-stress unpowered
-        // interval keep every cell. None of them reads a retention row.
-        sample_all(&mut data, &planes, 0);
-        sample_all(&mut data, &planes, 1);
-        resolve(&mut data, &planes, OffEvent::held(dist.drv_max), 0.0, 2, true);
-        resolve(&mut data, &planes, OffEvent::unpowered(), 0.0, 3, true);
-        assert_eq!(
-            built(&planes),
-            (false, false),
-            "power-up queries must build no retention block"
-        );
-        // A droop into the DRV range builds the DRV block only.
+        // A clean hold at `drv_max` and a zero-stress unpowered interval
+        // keep every cell: they derive nothing at all.
+        resolve(&mut data, &planes, OffEvent::held(dist.drv_max), 0.0, 0, true);
+        resolve(&mut data, &planes, OffEvent::unpowered(), 0.0, 1, true);
+        assert_eq!(planes.powerup_tiles_built(), 0, "keep-every-cell queries sample nothing");
+        // Settling an owed power-up sample derives the owed tiles' power-up
+        // records and reads no retention row.
+        let mut owed = PackedBits::zeros(n_tiles);
+        owed.set(2, true);
+        settle(&mut data, &planes, &owed, 2);
+        assert_eq!(planes.powerup_tiles_built(), 1, "a settle derives only the owed tiles");
+        assert_eq!(built(&planes), (false, false), "power-up samples build no retention block");
+        // A droop into the DRV range builds the DRV block only, plus the
+        // whole power-up block its lost cells sample.
         resolve(&mut data, &planes, OffEvent::held_with_droop(0.8, 0.31), 0.0, 4, true);
         assert_eq!(built(&planes), (true, false), "a droop builds the DRV block only");
+        assert_eq!(planes.powerup_tiles_built(), n_tiles, "a lossy query builds every tile");
         // A cold unpowered interval builds the decay block only.
         let fresh = DiePlanes::build(seed, bits, &dist);
         resolve(&mut data, &fresh, OffEvent::unpowered(), cold_stress(), 5, true);
@@ -1489,6 +1654,64 @@ mod tests {
             assert_eq!(*decay, (!held).then_some(decay_block), "one decay block per cold cycle");
             assert_eq!(retained, want_retained, "{event:?}: retained count");
             assert_eq!(image, want_image, "{event:?}: image");
+        }
+        clear_plane_cache();
+    }
+
+    #[test]
+    fn concurrent_reads_of_an_owed_array_build_each_tile_once() {
+        // Four threads read clones of one owed array on a newly cached die
+        // at the same moment, each walking the array from its own offset
+        // so they meet on every tile. Every read must equal the scalar
+        // image, and every thread must see the one record each tile's
+        // lock holds.
+        use crate::{ArrayConfig, ResolutionMode, SramArray};
+        let _guard = crate::global_state_lock();
+        let (seed, bits) = (0x0ED_7115, 5 * TILE_CELLS + 299);
+        let config = ArrayConfig::with_bits("owed-hammer", bits);
+        let mut scalar = SramArray::new(config.clone(), seed);
+        scalar.power_on_with(ResolutionMode::Scalar).unwrap();
+        let want = scalar.snapshot().unwrap();
+        clear_plane_cache();
+        let mut owed = SramArray::new(config, seed);
+        owed.power_on().unwrap();
+        let (planes, cached) = planes_for(seed, bits, &owed.config().distribution);
+        assert!(cached, "the power-on cached the die");
+        assert_eq!(planes.powerup_tiles_built(), 0, "the power-on sampled nothing");
+        let (nbytes, want_bytes) = (bits / 8, want.to_bytes());
+        let barrier = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<usize>> = std::thread::scope(|s| {
+            (0..4usize)
+                .map(|k| {
+                    let (array, barrier, want, want_bytes) =
+                        (owed.clone(), &barrier, &want, &want_bytes);
+                    let planes = &planes;
+                    s.spawn(move || {
+                        barrier.wait();
+                        for start in (k * 131..nbytes).step_by(389) {
+                            let len = 300.min(nbytes - start);
+                            let got = array.read_bytes(start, len);
+                            assert_eq!(got, want_bytes[start..start + len], "bytes at {start}");
+                        }
+                        for i in (k..bits).step_by(1021).chain(bits - 3..bits) {
+                            assert_eq!(array.read_bit(i).unwrap(), want.get(i), "bit {i}");
+                        }
+                        assert_eq!(&array.snapshot().unwrap(), want, "snapshot");
+                        planes
+                            .powerup
+                            .iter()
+                            .map(|t| t.get().map_or(0, |tile| tile.as_ptr() as usize))
+                            .collect()
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("hammer thread panicked"))
+                .collect()
+        });
+        assert!(seen[0].iter().all(|&a| a != 0), "every tile was read, so every tile is built");
+        for tiles in &seen[1..] {
+            assert_eq!(tiles, &seen[0], "all threads share each tile's one build");
         }
         clear_plane_cache();
     }

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use voltboot_sram::cell::{CellDistribution, CellParams};
-use voltboot_sram::{ArrayConfig, OffEvent, ResolutionMode, SramArray, Temperature};
+use voltboot_sram::{ArrayConfig, OffEvent, PackedBits, ResolutionMode, SramArray, Temperature};
 
 /// Random off-rail treatments, spanning unpowered, clean holds, droopy
 /// holds, and holds above/below the whole DRV range.
@@ -184,4 +184,184 @@ fn plane_cache_reuse_across_arrays_is_bit_exact() {
     let rs = reference.power_on_with(ResolutionMode::Scalar).unwrap();
     assert_eq!(rb, rs);
     assert_eq!(second.snapshot().unwrap(), reference.snapshot().unwrap());
+}
+
+/// Sizes for the owed-tile sequences: around a word, around a 4096-cell
+/// tile, and three tiles plus a ragged tail.
+const OWED_SIZES: [usize; 8] = [1, 63, 64, 65, 4095, 4096, 4097, 3 * 4096 + 5];
+
+/// Bytes per 4096-cell tile.
+const TILE_BYTES: usize = 512;
+
+/// One power cycle of an owed-tile sequence. Each kind takes a different
+/// branch of the power-on: the first power-on and `CertainlyLost` owe
+/// their sample, `HeldClean` and `ZeroStress` change no cell and keep it
+/// owed, `BelowDrvMin` loses every cell and drops it, and the rest
+/// settle it before they resolve.
+#[derive(Clone, Copy, Debug)]
+enum Cycle {
+    HeldClean,
+    PartialDroop(f64),
+    BelowDrvMin,
+    ZeroStress,
+    PartialColdDecay,
+    CertainlyLost,
+}
+
+impl Cycle {
+    fn run(self, a: &mut SramArray, mode: ResolutionMode) -> voltboot_sram::RetentionReport {
+        let (event, off, celsius) = match self {
+            Cycle::HeldClean => (OffEvent::held(0.8), Duration::from_millis(50), 25.0),
+            Cycle::PartialDroop(v) => (OffEvent::held_with_droop(0.8, v), Duration::ZERO, 25.0),
+            Cycle::BelowDrvMin => (OffEvent::held(0.04), Duration::from_millis(5), 25.0),
+            Cycle::ZeroStress => (OffEvent::unpowered(), Duration::ZERO, 25.0),
+            Cycle::PartialColdDecay => (OffEvent::unpowered(), Duration::from_millis(20), -110.0),
+            Cycle::CertainlyLost => (OffEvent::unpowered(), Duration::from_secs(3600), 25.0),
+        };
+        a.power_off(event).unwrap();
+        a.elapse(off, Temperature::from_celsius(celsius));
+        a.power_on_with(mode).unwrap()
+    }
+}
+
+/// How a byte write lines up with the tiles.
+#[derive(Clone, Copy, Debug)]
+enum WriteShape {
+    /// A few bytes anywhere.
+    Partial,
+    /// One tile's bytes exactly (the whole array when it is under a tile).
+    WholeTile,
+    /// A few bytes across a tile edge.
+    Straddling,
+}
+
+/// One step of an owed-tile sequence. Positions are raw draws, scaled to
+/// the array when the step runs.
+#[derive(Clone, Debug)]
+enum Step {
+    Cycle(Cycle),
+    ReadBit(u64),
+    ReadBytes(u64, u64),
+    Snapshot,
+    WriteBit(u64, bool),
+    WriteBytes(WriteShape, u64, u64, u8),
+    Fill(u8),
+    Restore(u64),
+}
+
+fn cycles() -> impl Strategy<Value = Cycle> {
+    prop_oneof![
+        1 => Just(Cycle::HeldClean),
+        1 => (0.25f64..0.36).prop_map(Cycle::PartialDroop),
+        1 => Just(Cycle::BelowDrvMin),
+        1 => Just(Cycle::ZeroStress),
+        1 => Just(Cycle::PartialColdDecay),
+        // The cycle that owes its sample, so later steps meet owed tiles.
+        3 => Just(Cycle::CertainlyLost),
+    ]
+}
+
+fn steps() -> impl Strategy<Value = Step> {
+    let shapes = prop_oneof![
+        Just(WriteShape::Partial),
+        Just(WriteShape::WholeTile),
+        Just(WriteShape::Straddling),
+    ];
+    prop_oneof![
+        3 => cycles().prop_map(Step::Cycle),
+        2 => any::<u64>().prop_map(Step::ReadBit),
+        3 => (any::<u64>(), any::<u64>()).prop_map(|(a, b)| Step::ReadBytes(a, b)),
+        1 => Just(Step::Snapshot),
+        2 => (any::<u64>(), any::<bool>()).prop_map(|(a, v)| Step::WriteBit(a, v)),
+        3 => (shapes, any::<u64>(), any::<u64>(), any::<u8>())
+            .prop_map(|(s, a, b, v)| Step::WriteBytes(s, a, b, v)),
+        1 => any::<u8>().prop_map(Step::Fill),
+        1 => any::<u64>().prop_map(Step::Restore),
+    ]
+}
+
+/// A byte offset in `0..=nbytes` within 8 bytes below a tile edge, or
+/// anywhere when the array has no whole tile.
+fn near_edge(raw: u64, nbytes: usize) -> usize {
+    let tiles = nbytes / TILE_BYTES;
+    if tiles == 0 {
+        return raw as usize % (nbytes + 1);
+    }
+    let edge = TILE_BYTES * (1 + raw as usize % tiles);
+    edge - (raw >> 32) as usize % 9
+}
+
+/// Runs `step` on `a` and returns what it observed, rendered for
+/// comparison. Every write's bytes are a function of the step alone.
+fn run_step(a: &mut SramArray, mode: ResolutionMode, step: &Step) -> String {
+    let (bits, nbytes) = (a.len_bits(), a.len_bytes());
+    let pattern = |len: usize, v: u8| -> Vec<u8> {
+        (0..len).map(|i| v.wrapping_mul(31).wrapping_add((i as u8).wrapping_mul(7))).collect()
+    };
+    match *step {
+        Step::Cycle(c) => format!("{:?}", c.run(a, mode)),
+        Step::ReadBit(i) => format!("{:?}", a.read_bit(i as usize % bits)),
+        Step::ReadBytes(at, len) => {
+            let offset =
+                if at % 2 == 0 { (at / 2) as usize % (nbytes + 1) } else { near_edge(at, nbytes) };
+            let len = len as usize % (nbytes - offset + 1);
+            format!("{:?}", a.try_read_bytes(offset, len))
+        }
+        Step::Snapshot => format!("{:?}", a.snapshot().map(|s| s.to_bytes())),
+        Step::WriteBit(i, v) => format!("{:?}", a.write_bit(i as usize % bits, v)),
+        Step::WriteBytes(shape, at, len, v) => {
+            let (offset, len) = match shape {
+                WriteShape::Partial => {
+                    let offset = at as usize % (nbytes + 1);
+                    (offset, len as usize % 40.min(nbytes - offset + 1))
+                }
+                WriteShape::WholeTile if nbytes < TILE_BYTES => (0, nbytes),
+                WriteShape::WholeTile => {
+                    (TILE_BYTES * (at as usize % (nbytes / TILE_BYTES)), TILE_BYTES)
+                }
+                WriteShape::Straddling => {
+                    let offset = near_edge(at, nbytes);
+                    (offset, (2 + len as usize % 20).min(nbytes - offset))
+                }
+            };
+            format!("{:?}", a.try_write_bytes(offset, &pattern(len, v)))
+        }
+        Step::Fill(v) => format!("{:?}", a.fill(v)),
+        Step::Restore(raw) => {
+            let mut image = PackedBits::zeros(bits);
+            for i in 0..bits {
+                image.set(i, (raw.wrapping_mul(2 * i as u64 + 1) >> 29) & 1 == 1);
+            }
+            format!("{:?}", a.restore(&image))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Owed power-up tiles against the eager scalar path: one die
+    /// through a random sequence of cycles, reads and writes, at sizes
+    /// around a word and around a tile. Every read, write result and
+    /// report must agree at every step, and so must the final image.
+    #[test]
+    fn owed_tiles_match_the_eager_path(
+        seed in any::<u64>(),
+        size in 0usize..OWED_SIZES.len(),
+        sequence in proptest::collection::vec(steps(), 4..=32),
+    ) {
+        let config = ArrayConfig::with_bits("owed-sequence", OWED_SIZES[size]);
+        let modes = [ResolutionMode::Scalar, ResolutionMode::Batched];
+        let mut arrays = modes.map(|_| SramArray::new(config.clone(), seed));
+        for (a, mode) in arrays.iter_mut().zip(modes) {
+            a.power_on_with(mode).unwrap();
+        }
+        for (k, step) in sequence.iter().enumerate() {
+            let [scalar, batched] = &mut arrays;
+            let want = run_step(scalar, modes[0], step);
+            let got = run_step(batched, modes[1], step);
+            prop_assert_eq!(got, want, "step {} ({:?})", k, step);
+        }
+        prop_assert_eq!(arrays[1].snapshot().unwrap(), arrays[0].snapshot().unwrap());
+    }
 }

@@ -69,6 +69,69 @@ fn dram_decay_is_pinned_across_power_cycles() {
     }
 }
 
+/// CRC-64 and one-bit count of every SRAM image of a Pi 4: per core, its
+/// L1I and L1D, then its vector registers, TLB and BTB; the L2 last. A
+/// cache contributes every way's data image, then every raw tag word
+/// (little-endian), way by way and set by set within each way.
+fn sram_digest(soc: &voltboot_soc::Soc) -> (u64, u64) {
+    fn cache_bytes(out: &mut Vec<u8>, cache: &voltboot_soc::Cache) {
+        let ways = 0..cache.geometry().ways;
+        for way in ways.clone() {
+            out.extend(cache.way_image(way).unwrap().to_bytes());
+        }
+        for way in ways {
+            for set in 0..cache.geometry().sets() {
+                out.extend(cache.raw_tag_word(way, set).unwrap().to_le_bytes());
+            }
+        }
+    }
+    let mut bytes = Vec::new();
+    for i in 0..4 {
+        let core = soc.core(i).unwrap();
+        cache_bytes(&mut bytes, &core.l1i);
+        cache_bytes(&mut bytes, &core.l1d);
+        for image in [core.vregs.image(), core.tlb.image(), core.btb.image()] {
+            bytes.extend(image.unwrap().to_bytes());
+        }
+    }
+    cache_bytes(&mut bytes, soc.l2());
+    (crc64(&bytes), bytes.iter().map(|b| u64::from(b.count_ones())).sum())
+}
+
+#[test]
+fn sram_images_are_pinned_across_power_cycles() {
+    use voltboot_armlite::program::builders::nop_sled;
+    use voltboot_pdn::Probe;
+    use voltboot_soc::{BootSource, PowerCycleSpec};
+    let fresh = || {
+        let mut soc = devices::raspberry_pi_4(0x2022A5B007);
+        soc.power_on_all();
+        soc
+    };
+    // One board through bring-up, a victim run, a held cycle and a boot.
+    let mut soc = fresh();
+    assert_eq!(sram_digest(&soc), (0x3acf_e69a_cfa9_4eb7, 6_214_851), "power_on_all");
+    soc.enable_caches(0);
+    soc.run_program(0, &nop_sled(128), 0x1_0000, 100_000);
+    assert_eq!(sram_digest(&soc), (0xb0c3_7aa7_991f_12c3, 6_212_644), "victim run");
+    soc.attach_probe("TP15", Probe::bench_supply(0.8, 3.0)).unwrap();
+    soc.power_cycle(PowerCycleSpec::quick()).unwrap();
+    assert_eq!(sram_digest(&soc), (0xcd40_adf2_209f_99ab, 6_211_538), "held cycle");
+    let image = BootSource::ExternalMedia { image: vec![0; 64], entry: 0x8_0000, signed: false };
+    soc.boot(image).unwrap();
+    assert_eq!(sram_digest(&soc), (0xa642_9413_1884_05d7, 6_213_602), "boot");
+    // A weak probe droops the core rail below every cell's DRV.
+    let mut soc = fresh();
+    soc.attach_probe("TP15", Probe::weak_source(0.8, 0.2)).unwrap();
+    let report = soc.power_cycle(PowerCycleSpec::quick()).unwrap();
+    assert_eq!(report.retention_of("core0.l1d.data").unwrap().lost, 262_144);
+    assert_eq!(sram_digest(&soc), (0x4db7_2398_98e5_1a0c, 6_214_163), "weak probe");
+    // An unheld cold boot.
+    let mut soc = fresh();
+    soc.power_cycle(PowerCycleSpec::cold_boot(-110.0, 20)).unwrap();
+    assert_eq!(sram_digest(&soc), (0x37b7_db05_8607_0d80, 6_215_265), "cold boot");
+}
+
 #[test]
 fn achievable_temperatures_never_retain() {
     // The paper's point: every temperature a device survives (>= -40 C)
