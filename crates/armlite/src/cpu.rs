@@ -2,10 +2,9 @@
 
 use crate::bus::{Bus, BusFault, RamIndexRequest};
 use crate::insn::{Cond, Instr, Reg};
-use serde::{Deserialize, Serialize};
 
 /// ARMv8-A exception levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ExceptionLevel {
     /// User.
     El0,
@@ -46,7 +45,7 @@ pub enum RunExit {
 /// sequence (paper §6.1: "Data and instruction synchronization barrier
 /// instructions DSB SY and ISB, respectively, must follow this
 /// instruction before reading the cache data output register interface").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum RamIndexPipeline {
     /// No request outstanding.
     #[default]
@@ -66,7 +65,7 @@ enum RamIndexPipeline {
 /// are plain fields here; the `soc` crate mirrors the NEON file into
 /// SRAM-backed storage so that register contents participate in power
 /// cycles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cpu {
     x: [u64; 31],
     v: [[u64; 2]; 32],

@@ -6,14 +6,13 @@
 //! Figure 7 experiment greps extracted cache images for exactly these
 //! words.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A general-purpose 64-bit register, `x0`–`x30` plus `xzr` (31).
 ///
 /// In operand position register 31 reads as zero and discards writes,
 /// matching A64 semantics for the instructions in this subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -42,7 +41,7 @@ impl fmt::Display for Reg {
 }
 
 /// A 128-bit SIMD/FP register, `v0`–`v31`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VReg(pub u8);
 
 impl VReg {
@@ -64,7 +63,7 @@ impl fmt::Display for VReg {
 }
 
 /// A64 condition codes (for `b.cond`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Cond {
     Eq = 0,
@@ -145,7 +144,7 @@ impl Cond {
 /// assert_eq!(Instr::Nop.to_string(), "nop");
 /// # Ok::<(), voltboot_armlite::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// `nop`
     Nop,

@@ -1,10 +1,9 @@
 //! Assembled programs and canned program builders.
 
 use crate::insn::{Instr, Reg, VReg};
-use serde::{Deserialize, Serialize};
 
 /// An assembled machine-code program: a sequence of A64 words.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

@@ -1,4 +1,4 @@
-//! Shared helpers for the Volt Boot repro binaries and benches.
+//! Shared helpers for the Volt Boot repro and bench binaries.
 //!
 //! Each `repro_*` binary regenerates one of the paper's tables or
 //! figures (see `DESIGN.md` for the index) and prints the measured
@@ -10,19 +10,39 @@ pub mod dashboard;
 /// The die seed the repro binaries use, overridable via the
 /// `VOLTBOOT_SEED` environment variable (decimal, or hex with a `0x`
 /// prefix).
+///
+/// # Panics
+///
+/// When `VOLTBOOT_SEED` is set, non-empty and does not parse: a typo
+/// must not silently run the default die.
 pub fn seed() -> u64 {
-    std::env::var("VOLTBOOT_SEED").ok().and_then(|s| parse_seed(&s)).unwrap_or(0x0020_22A5_B007)
+    env_seed("VOLTBOOT_SEED", 0x0020_22A5_B007)
 }
 
 /// The fault-plan seed the campaign binary uses, overridable via the
 /// `VOLTBOOT_FAULT_SEED` environment variable (decimal, or hex with a
 /// `0x` prefix). Kept separate from [`seed`] so the silicon and the
 /// glitch schedule can vary independently.
+///
+/// # Panics
+///
+/// When `VOLTBOOT_FAULT_SEED` is set, non-empty and does not parse.
 pub fn fault_seed() -> u64 {
-    std::env::var("VOLTBOOT_FAULT_SEED")
-        .ok()
-        .and_then(|s| parse_seed(&s))
-        .unwrap_or(0x000F_A017_C0DE)
+    env_seed("VOLTBOOT_FAULT_SEED", 0x000F_A017_C0DE)
+}
+
+/// The seed in environment variable `var`, or `default` when it is
+/// unset or empty.
+fn env_seed(var: &str, default: u64) -> u64 {
+    match std::env::var_os(var) {
+        Some(raw) if !raw.is_empty() => {
+            let text = raw.to_string_lossy();
+            parse_seed(&text).unwrap_or_else(|| {
+                panic!("{var}={text:?} is not a u64 in decimal or 0x-prefixed hex")
+            })
+        }
+        _ => default,
+    }
 }
 
 fn parse_seed(s: &str) -> Option<u64> {
@@ -56,5 +76,15 @@ mod tests {
     fn fault_seed_has_a_distinct_default() {
         assert_ne!(super::fault_seed(), 0);
         assert_ne!(super::fault_seed(), super::seed());
+    }
+
+    #[test]
+    fn parse_seed_takes_decimal_and_prefixed_hex_only() {
+        for (text, want) in [("42", 42), ("0x1f", 0x1f), ("0X1F", 0x1f), (" 7 ", 7)] {
+            assert_eq!(super::parse_seed(text), Some(want), "{text:?}");
+        }
+        for text in ["0xZZ", "0x", "-5", "1e3"] {
+            assert_eq!(super::parse_seed(text), None, "{text:?}");
+        }
     }
 }

@@ -32,7 +32,6 @@
 use crate::error::AttackError;
 use crate::fault::{self, FaultPlan, StepFaults};
 use crate::recover::{self, ConfidenceMap, IntegrityError};
-use serde::{Deserialize, Serialize};
 use voltboot_pdn::Probe;
 use voltboot_soc::debug::RamId;
 use voltboot_soc::{BootSource, CycleFaults, PowerCycleSpec, Soc};
@@ -54,7 +53,7 @@ pub const PROBE_GLITCH_EXTRA_OHMS: f64 = 0.6;
 pub const PROBE_GLITCH_LIMIT_FACTOR: f64 = 0.15;
 
 /// What the attacker reads out after the reboot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Extraction {
     /// L1 cache data RAMs of the listed cores, via CP15 `RAMINDEX` from
     /// the attacker's EL3 extraction image.
@@ -94,7 +93,7 @@ pub enum Extraction {
 }
 
 /// One extracted memory image, integrity-sealed at readout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedImage {
     /// Source label, e.g. `"core0.l1d.way1"`, `"core2.vregs"`, `"iram"`.
     pub source: String,
@@ -104,7 +103,6 @@ pub struct ExtractedImage {
     /// ([`recover::crc64_bits`]); [`ExtractedImage::verify`] re-checks
     /// it, so silent corruption anywhere between extraction and
     /// reporting surfaces as a typed [`IntegrityError`].
-    #[serde(default)]
     pub crc64: u64,
 }
 
@@ -154,7 +152,7 @@ impl ExtractedImage {
 
 /// Per-image confidence from a voted multi-pass readout: the sealed CRC
 /// plus the bit-level vote classification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageConfidence {
     /// The image's source label.
     pub source: String,
@@ -165,7 +163,7 @@ pub struct ImageConfidence {
 }
 
 /// A step of the attack flow, for the outcome log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepRecord {
     /// Step name (identify / attach / power-cycle / reboot / extract).
     pub step: String,
@@ -174,7 +172,7 @@ pub struct StepRecord {
 }
 
 /// Everything an attack run produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// The executed steps, in order.
     pub steps: Vec<StepRecord>,
@@ -188,7 +186,6 @@ pub struct AttackOutcome {
     /// Per-image vote confidence — empty on the classic single-pass
     /// path, one entry per image (same order) on voted multi-pass
     /// extraction.
-    #[serde(default)]
     pub confidence: Vec<ImageConfidence>,
 }
 
@@ -275,21 +272,14 @@ impl std::error::Error for AttackFailure {
 /// The Volt Boot attack, configured builder-style.
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltBootAttack {
     pad: String,
     probe: Probe,
     cycle: PowerCycleSpec,
     extraction: Extraction,
     skip_reboot: bool,
-    #[serde(default = "default_passes")]
     passes: u32,
-}
-
-// Referenced through the `#[serde(default = ...)]` attribute only.
-#[allow(dead_code)]
-fn default_passes() -> u32 {
-    1
 }
 
 impl VoltBootAttack {
@@ -968,7 +958,7 @@ fn extraction_stub_image() -> Vec<u8> {
 /// The §3 baseline: a traditional cold-boot attempt — chill the board,
 /// cut power briefly, reboot, extract. No probe is attached, so survival
 /// depends entirely on the SRAM's intrinsic retention at temperature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColdBootAttack {
     /// Ambient temperature the device was cooled to.
     pub temperature: Temperature,

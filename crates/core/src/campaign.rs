@@ -626,10 +626,27 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Io`] when the read fails; the
-    /// [`Checkpoint::from_json`] classes otherwise.
+    /// [`CampaignError::Io`] when the read fails, or with
+    /// [`std::io::ErrorKind::InvalidInput`] when `path` is not a regular
+    /// file; the [`Checkpoint::from_json`] classes otherwise.
     pub fn load(path: &Path) -> Result<Checkpoint, CampaignError> {
-        Checkpoint::from_json(&std::fs::read_to_string(path).map_err(CampaignError::Io)?)
+        use std::io::Read;
+        // Stat before opening: opening a FIFO blocks until a writer
+        // comes, and a device such as /dev/zero never reaches EOF.
+        if !std::fs::metadata(path)?.is_file() {
+            return Err(CampaignError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} is not a regular file", path.display()),
+            )));
+        }
+        // The open handle pins one inode, so its length stays right for
+        // what it reads even if `write_atomic` renames a new checkpoint
+        // into place after the stat.
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut text = String::new();
+        file.take(len).read_to_string(&mut text)?;
+        Checkpoint::from_json(&text)
     }
 }
 

@@ -5,12 +5,11 @@
 //! which step it breaks (the paper's framing: a defence must prevent
 //! either *inducing retention* or *accessing the retained contents*).
 
-use serde::{Deserialize, Serialize};
 use voltboot_soc::cache::SecurityState;
 use voltboot_soc::{Soc, SocError};
 
 /// One countermeasure from the paper's survey.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Countermeasure {
     /// No defence (the evaluation platforms as shipped).
     None,

@@ -12,14 +12,13 @@
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use voltboot_pdn::Probe;
 use voltboot_soc::devices;
 use voltboot_sram::{ArrayConfig, OffEvent, SramArray, Temperature};
 
 /// One point of the remanence surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemanencePoint {
     /// Temperature in Celsius.
     pub celsius: f64,
@@ -49,7 +48,7 @@ pub fn remanence_curve(seed: u64) -> Vec<RemanencePoint> {
 }
 
 /// One point of the probe-current ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeSweepPoint {
     /// Probe current limit in amperes.
     pub current_limit: f64,
@@ -89,7 +88,7 @@ pub fn probe_current_sweep_points(seed: u64, limits: &[f64]) -> Vec<ProbeSweepPo
 }
 
 /// One point of the hold-voltage ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HoldVoltagePoint {
     /// Held voltage in volts.
     pub volts: f64,

@@ -10,13 +10,12 @@
 
 use crate::attack::{ColdBootAttack, Extraction};
 use crate::dram_recovery::{recover_and_verify, GroundState};
-use serde::{Deserialize, Serialize};
 use voltboot_crypto::aes::{Aes, AesKey, KeySchedule};
 use voltboot_crypto::tresor::TresorContext;
 use voltboot_soc::devices;
 
 /// One (temperature, off-time) data point of the comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramBaselineRow {
     /// Module temperature in Celsius.
     pub celsius: f64,
@@ -33,7 +32,7 @@ pub struct DramBaselineRow {
 }
 
 /// The comparison table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramBaselineResult {
     /// One row per scenario.
     pub rows: Vec<DramBaselineRow>,

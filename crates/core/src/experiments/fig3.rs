@@ -6,12 +6,11 @@
 use crate::analysis;
 use crate::attack::{ColdBootAttack, Extraction};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 use voltboot_sram::PackedBits;
 
 /// The figure's data: the post-attack way image and summary statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// WAY0 of core 0's d-cache after the cold boot (256 sets × 512 bits
     /// = 16 KB, matching the paper's caption).

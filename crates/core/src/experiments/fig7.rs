@@ -9,12 +9,11 @@
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 use voltboot_sram::PackedBits;
 
 /// Result for one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Device {
     /// SoC name (`BCM2711` / `BCM2837`).
     pub soc: String,
@@ -28,7 +27,7 @@ pub struct Fig7Device {
 }
 
 /// The two-device figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// One entry per device.
     pub devices: Vec<Fig7Device>,

@@ -9,12 +9,11 @@ use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::os_noise::OsNoise;
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 use voltboot_sram::PackedBits;
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// One way of the post-attack d-cache.
     pub dcache_way: PackedBits,

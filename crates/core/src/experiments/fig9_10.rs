@@ -11,12 +11,11 @@
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 use voltboot_sram::PackedBits;
 
 /// The combined figure data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig910Result {
     /// The reference contents written before the attack.
     pub reference: PackedBits,

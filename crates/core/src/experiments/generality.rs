@@ -8,11 +8,10 @@
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::{devices, Soc};
 
 /// One device's generality row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneralityRow {
     /// Board name.
     pub board: String,
@@ -27,7 +26,7 @@ pub struct GeneralityRow {
 }
 
 /// The generality matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneralityResult {
     /// One row per (device, target).
     pub rows: Vec<GeneralityRow>,

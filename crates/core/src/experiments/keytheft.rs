@@ -11,14 +11,13 @@
 
 use crate::analysis;
 use crate::attack::{ColdBootAttack, Extraction, VoltBootAttack};
-use serde::{Deserialize, Serialize};
 use voltboot_crypto::aes::{Aes, AesKey};
 use voltboot_crypto::fde::{EncryptedDisk, SECTOR_BYTES};
 use voltboot_crypto::tresor::TresorContext;
 use voltboot_soc::devices;
 
 /// Where the victim hides the key schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyHome {
     /// TRESOR-style: NEON registers.
     Registers,
@@ -27,7 +26,7 @@ pub enum KeyHome {
 }
 
 /// The end-to-end result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyTheftResult {
     /// Where the key was hidden.
     pub home: KeyHome,

@@ -10,11 +10,10 @@
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 
 /// One memory's accessibility result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessibilityRow {
     /// Device name.
     pub device: String,
@@ -25,7 +24,7 @@ pub struct AccessibilityRow {
 }
 
 /// The section's results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec62Result {
     /// One row per (device, memory).
     pub rows: Vec<AccessibilityRow>,

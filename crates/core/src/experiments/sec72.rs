@@ -7,11 +7,10 @@
 
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 
 /// Result for one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec72Device {
     /// SoC name.
     pub soc: String,
@@ -23,7 +22,7 @@ pub struct Sec72Device {
 }
 
 /// The section's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec72Result {
     /// One entry per device.
     pub devices: Vec<Sec72Device>,

@@ -10,11 +10,10 @@ use crate::attack::{Extraction, VoltBootAttack};
 use crate::countermeasures::{mark_dcache_secure, Countermeasure};
 use crate::error::AttackError;
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 
 /// One countermeasure's evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec8Row {
     /// The countermeasure.
     pub countermeasure: Countermeasure,
@@ -29,7 +28,7 @@ pub struct Sec8Row {
 }
 
 /// The matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec8Result {
     /// One row per countermeasure.
     pub rows: Vec<Sec8Row>,

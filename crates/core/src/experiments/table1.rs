@@ -10,12 +10,11 @@
 use crate::analysis;
 use crate::attack::{ColdBootAttack, Extraction};
 use crate::workloads;
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 use voltboot_sram::PackedBits;
 
 /// One temperature point of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Chamber temperature in Celsius.
     pub celsius: f64,
@@ -29,7 +28,7 @@ pub struct Table1Row {
 }
 
 /// The full Table 1 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Result {
     /// One row per temperature.
     pub rows: Vec<Table1Row>,

@@ -14,14 +14,13 @@ use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
 use crate::os_noise::OsNoise;
 use crate::workloads::{self, ARRAY_SEED};
-use serde::{Deserialize, Serialize};
 use voltboot_soc::devices;
 
 /// Array sizes evaluated by the paper.
 pub const ARRAY_KB: [u32; 4] = [4, 8, 16, 32];
 
 /// One (array size × core) cell of the table, averaged over trials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Cell {
     /// Victim array size in KB.
     pub array_kb: u32,
@@ -38,7 +37,7 @@ pub struct Table4Cell {
 }
 
 /// The full table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Result {
     /// All cells, ordered by array size then core.
     pub cells: Vec<Table4Cell>,

@@ -21,7 +21,6 @@
 //! * **Extraction dropout** — the debug port fails to enumerate at the
 //!   *extract* step, failing the whole attempt (the retryable fault).
 
-use serde::{Deserialize, Serialize};
 use voltboot_sram::PackedBits;
 
 /// SplitMix64 finalizer — the same mixer the SRAM substrate uses for
@@ -42,7 +41,7 @@ fn unit(x: u64) -> f64 {
 /// Per-class fault probabilities, each in `[0, 1]`. The default is all
 /// zeros: no fault ever fires and every drawn [`StepFaults`] is
 /// [`StepFaults::none`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     /// Probability the probe contact glitches at the attach step.
     pub probe_glitch: f64,
@@ -87,7 +86,7 @@ pub const BROWNOUT_RANGE_V: (f64, f64) = (0.05, 0.45);
 
 /// The faults one attack attempt must weather, drawn from a
 /// [`FaultPlan`]. `Default` (== [`StepFaults::none`]) injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepFaults {
     /// The probe contact glitches at attach: extra series resistance,
     /// sagging current limit.
@@ -151,7 +150,7 @@ impl StepFaults {
 /// counter-mode generator: there is no shared stream state, so draws are
 /// order-independent and a campaign resumed (or re-run) from the same
 /// seed reproduces the identical fault history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     /// Per-class fault probabilities.

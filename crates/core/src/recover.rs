@@ -212,7 +212,7 @@ impl std::error::Error for IntegrityError {}
 /// Per-image bit-confidence classification produced by [`vote`]: every
 /// bit of the resolved image is exactly one of unanimous, repaired, or
 /// unresolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfidenceMap {
     /// Bits in the image.
     pub total_bits: u64,

@@ -195,3 +195,42 @@ fn resealed_out_of_range_fields_still_fail_typed() {
         Err(CampaignError::Corrupt { detail }) if detail.contains("out of range")
     ));
 }
+
+/// The daemon's `MERGE` verb hands wire paths to [`Checkpoint::load`],
+/// so a path that is not a regular file must fail typed and promptly.
+/// Each load runs on its own thread: one that blocks (a FIFO with no
+/// writer) or reads forever (`/dev/zero`) fails the test instead of
+/// hanging it.
+#[test]
+fn non_regular_files_fail_typed_without_blocking() {
+    let dir =
+        std::env::temp_dir().join(format!("voltboot_test_non_regular_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut paths = vec![dir.clone()];
+    if cfg!(unix) {
+        let fifo = dir.join("fifo");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status().expect("run mkfifo");
+        assert!(made.success(), "mkfifo {} failed", fifo.display());
+        paths.push(fifo);
+        paths.push(std::path::PathBuf::from("/dev/zero"));
+    }
+    for path in paths {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let loading = path.clone();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(Checkpoint::load(&loading).map(|_| ()));
+        });
+        let loaded = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("loading {} did not return within 5 s", path.display()));
+        handle.join().expect("load thread");
+        match loaded {
+            Err(CampaignError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{}: {e}", path.display())
+            }
+            other => panic!("{}: {other:?}", path.display()),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

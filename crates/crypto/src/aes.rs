@@ -18,11 +18,10 @@
 //! assert_eq!(aes.decrypt_block(&ct), pt);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// An AES key of any standard length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AesKey {
     /// 128-bit key (10 rounds).
     Aes128([u8; 16]),
@@ -141,7 +140,7 @@ pub fn inv_sbox(x: u8) -> u8 {
 /// locked cache, and exactly what the attack recovers. Its internal
 /// redundancy (each word derives from earlier words) is what makes
 /// schedule-shaped byte runs findable in memory images.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySchedule {
     words: Vec<u32>,
     rounds: usize,
@@ -256,7 +255,7 @@ fn sub_word(w: u32) -> u32 {
 // ----------------------------------------------------------------------
 
 /// An AES block cipher instance holding an expanded schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes {
     schedule: KeySchedule,
 }

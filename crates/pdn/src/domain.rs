@@ -1,9 +1,7 @@
 //! Power domains and the loads inside them.
 
-use serde::{Deserialize, Serialize};
-
 /// The three broad domain areas the paper divides an SoC's supply into (§2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DomainKind {
     /// Processing elements plus the L1 caches and their control logic.
     Core,
@@ -30,7 +28,7 @@ impl DomainKind {
 /// figures describe the transient it pulls from whatever source remains
 /// when the main supply is cut abruptly (the power-hungry compute cores
 /// refill their decoupling and keep switching for a few microseconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Load {
     /// Name, e.g. `"arm-cluster"` or `"iram"`.
     pub name: String,
@@ -66,7 +64,7 @@ impl Load {
 }
 
 /// A power-gated group of loads fed from one rail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerDomain {
     /// Domain name, e.g. `"core"` or `"l1-memory"`.
     pub name: String,

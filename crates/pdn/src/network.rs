@@ -6,7 +6,6 @@ use crate::pmic::Pmic;
 use crate::probe::{Probe, ProbePoint};
 use crate::rail::{Rail, RegulatorKind};
 use crate::transient::{DisconnectTransient, SurgeProfile};
-use serde::{Deserialize, Serialize};
 use voltboot_telemetry::Recorder;
 
 #[cfg(test)]
@@ -23,7 +22,7 @@ const RAIL_SEQUENCE_STEP_NS: u64 = 1_200_000;
 const UNHELD_COLLAPSE_NS: u64 = 1_000;
 
 /// The order rails come back in when main power returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReconnectOrder {
     /// The PMIC's programmed bring-up sequence (normal operation).
     #[default]
@@ -35,7 +34,7 @@ pub enum ReconnectOrder {
 }
 
 /// What happened to one rail when main power was cut.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RailOutcome {
     /// Rail name.
     pub rail: String,
@@ -61,7 +60,7 @@ impl RailOutcome {
 }
 
 /// The per-rail outcomes of one main-supply disconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisconnectOutcome {
     rails: Vec<RailOutcome>,
 }
@@ -82,7 +81,7 @@ impl DisconnectOutcome {
 /// main-input switch.
 ///
 /// See the [crate-level example](crate) for typical use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerNetwork {
     pmic: Pmic,
     domains: Vec<PowerDomain>,

@@ -1,11 +1,10 @@
 //! The PMIC: the regulator package and its bring-up sequencing.
 
 use crate::rail::Rail;
-use serde::{Deserialize, Serialize};
 
 /// A power-management IC: a named package of regulator rails brought up in
 /// a fixed sequence when the board's main input appears.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pmic {
     /// Part name, e.g. `"MxL7704"` (Pi 4), `"PAM2306"` (Pi 3 area),
     /// `"LTC3589"` (i.MX53 QSB).

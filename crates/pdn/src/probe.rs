@@ -1,7 +1,5 @@
 //! External voltage probes and the board points they attach to.
 
-use serde::{Deserialize, Serialize};
-
 /// An external voltage source an attacker attaches to the board.
 ///
 /// The paper uses a bench power supply with more than 3 A of drive
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(bench.current_limit > weak.current_limit);
 /// assert!(bench.series_resistance < weak.series_resistance);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Probe {
     /// Output setpoint in volts.
     pub voltage: f64,
@@ -44,7 +42,7 @@ impl Probe {
 
 /// A physical attachment point on the PCB: a test pad or the lead of a
 /// passive component that connects to a supply rail (paper Table 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbePoint {
     /// Pad designator, e.g. `"TP15"`, `"PP58"`, `"SH13"`.
     pub pad: String,

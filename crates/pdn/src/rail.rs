@@ -1,7 +1,5 @@
 //! Regulator rails.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of regulator feeding a rail (paper Figure 4).
 ///
 /// LDOs feed domains with limited load fluctuation; buck (switching)
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// loss matters. For the attack the distinction matters only through the
 /// passives each kind requires — both expose a board-level node an
 /// attacker can probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegulatorKind {
     /// Low-dropout linear regulator with a decoupling capacitor.
     Ldo,
@@ -28,7 +26,7 @@ impl RegulatorKind {
 }
 
 /// One regulator output: a board-level supply net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rail {
     /// Net name, e.g. `"VDD_CORE"` or `"VDDAL1"`.
     pub name: String,

@@ -22,10 +22,9 @@
 
 use crate::probe::Probe;
 use crate::rail::Rail;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate surge demand a rail sees at main-supply disconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurgeProfile {
     /// Steady current of all loads on the rail, in amperes.
     pub steady_current: f64,
@@ -52,7 +51,7 @@ impl SurgeProfile {
 }
 
 /// The resolved electrical outcome of a disconnect on one held rail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisconnectTransient {
     /// Steady voltage after the surge settles, in volts.
     pub steady_voltage: f64,

@@ -14,10 +14,8 @@
 //! The module also models the boot *policy* countermeasures of §8:
 //! authenticated (signed-image) boot and hardware memory BIST at reset.
 
-use serde::{Deserialize, Serialize};
-
 /// Where the SoC fetches its next-stage image from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BootSource {
     /// Internal boot ROM only (the i.MX535 path: the device comes up like
     /// a microcontroller with no external image needed).
@@ -35,7 +33,7 @@ pub enum BootSource {
 }
 
 /// Boot-policy switches (§8 countermeasures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BootPolicy {
     /// Refuse unsigned external images (fused secure boot).
     pub mandated_authenticated_boot: bool,
@@ -49,7 +47,7 @@ pub struct BootPolicy {
 }
 
 /// A byte range of an SRAM region the boot flow overwrites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClobberRegion {
     /// First byte offset (inclusive), relative to the region base.
     pub start: usize,
@@ -80,7 +78,7 @@ impl ClobberRegion {
 }
 
 /// Device-specific boot behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootRom {
     /// Whether the VideoCore-style firmware clobbers the L2 at boot.
     pub clobbers_l2: bool,
@@ -107,7 +105,7 @@ impl BootRom {
 }
 
 /// What a boot attempt produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BootOutcome {
     /// Address the (first) core starts executing at.
     pub entry: u64,

@@ -11,7 +11,6 @@
 //! (word-granular), bits 0..38 = target word address.
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use voltboot_sram::{ArrayConfig, OffEvent, PackedBits, ResolutionMode, SramArray, Temperature};
 use voltboot_telemetry::Recorder;
 
@@ -22,7 +21,7 @@ const TARGET_BITS: u64 = 38;
 const TAG_MASK: u64 = (1 << 24) - 1;
 
 /// A direct-mapped branch target buffer with an SRAM entry store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Btb {
     sram: SramArray,
 }

@@ -18,12 +18,11 @@
 //!   kernel nor other processes can evict secret-holding lines.
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use voltboot_sram::{ArrayConfig, OffEvent, PackedBits, ResolutionMode, SramArray, Temperature};
 use voltboot_telemetry::Recorder;
 
 /// Whether a cache serves instruction fetches or data accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheKind {
     /// Instruction cache (read-only from the core's point of view).
     Instruction,
@@ -34,7 +33,7 @@ pub enum CacheKind {
 }
 
 /// Geometry of a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -88,7 +87,7 @@ impl CacheGeometry {
 }
 
 /// Security state of an access (TrustZone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecurityState {
     /// Secure world.
     Secure,
@@ -154,7 +153,7 @@ impl TagEntry {
 
 /// A set-associative, write-back, write-allocate cache whose tag and data
 /// stores are physical [`SramArray`]s.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     name: String,
     kind: CacheKind,

@@ -9,13 +9,12 @@
 
 use crate::cache::Cache;
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 
 /// The internal RAMs this model exposes through `RAMINDEX`.
 ///
 /// Ids follow the Cortex-A72 TRM groupings (L1-I around `0x00`, L1-D
 /// around `0x08`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RamId {
     /// L1 instruction-cache tag RAM.
     L1ITag,
@@ -174,7 +173,7 @@ pub fn ramindex_read_way_into(
 ///
 /// Whether the port exists (and survives fusing) is a device property;
 /// the i.MX535 exposes it, the Raspberry Pis do not by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Jtag {
     /// Whether the port is present and enabled.
     pub enabled: bool,

@@ -10,7 +10,6 @@
 use crate::cache::Backing;
 use crate::dram_remanence::DecayStep;
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -31,7 +30,7 @@ const _: () = assert!(DECAY_QUEUE_CAP <= u8::MAX as usize);
 /// first touches it. Writes and line fills settle the pages they touch in
 /// place; `&self` readers get settled copies. Every access sees exactly
 /// the bytes an eager sweep of the whole DRAM would have left.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dram {
     bytes: Vec<u8>,
     /// Session key of the scrambler; regenerated on every power cycle.

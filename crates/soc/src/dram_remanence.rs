@@ -16,7 +16,6 @@
 //! cell always survives at least one refresh interval.
 
 use crate::dram::Dram;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use voltboot_sram::{LeakageModel, Temperature};
 
@@ -26,7 +25,7 @@ use voltboot_sram::{LeakageModel, Temperature};
 /// (≈25–45 °C) a module keeps most bits for a second or two and loses
 /// half within ~10 s; cooled to −50 °C, decay stretches to minutes with
 /// <1 % loss over a 60 s transplant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramRemanenceModel {
     /// Median charged-cell lifetime at the reference temperature, in
     /// seconds.

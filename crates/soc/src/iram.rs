@@ -7,7 +7,6 @@
 //! target: the hold current is milliamps and there is no core surge.
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use voltboot_sram::{ArrayConfig, OffEvent, PackedBits, ResolutionMode, SramArray, Temperature};
 use voltboot_telemetry::Recorder;
 
@@ -22,7 +21,7 @@ use voltboot_telemetry::Recorder;
 /// assert_eq!(iram.read(0xF800_0100, 10)?, b"frame data");
 /// # Ok::<(), voltboot_soc::SocError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Iram {
     base: u64,
     sram: SramArray,

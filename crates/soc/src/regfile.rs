@@ -9,12 +9,11 @@
 //! boundaries.
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use voltboot_sram::{ArrayConfig, OffEvent, PackedBits, ResolutionMode, SramArray, Temperature};
 use voltboot_telemetry::Recorder;
 
 /// The physical storage of one core's `v0..v31` register file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VectorRegFile {
     sram: SramArray,
 }

@@ -7,7 +7,6 @@ use crate::dram::Dram;
 use crate::error::SocError;
 use crate::iram::Iram;
 use crate::regfile::VectorRegFile;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use voltboot_armlite::{Bus, BusFault, Cpu, Program, RamIndexRequest, RunExit};
 use voltboot_pdn::{DisconnectOutcome, PowerNetwork, Probe, RailOutcome, ReconnectOrder};
@@ -16,7 +15,7 @@ use voltboot_telemetry::Recorder;
 
 /// One CPU core: an interpreter plus its private L1 caches and physical
 /// NEON register file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Core {
     /// The architectural core.
     pub cpu: Cpu,
@@ -72,7 +71,7 @@ pub struct SocConfig {
 }
 
 /// Parameters of one abrupt power cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCycleSpec {
     /// How long the board stays without main power.
     pub off_duration: Duration,
@@ -101,7 +100,7 @@ impl PowerCycleSpec {
 /// PMIC sequencing races). The default is no fault of any kind, and the
 /// fault-free path through [`Soc::power_cycle_with`] is bit-identical to
 /// [`Soc::power_cycle`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CycleFaults {
     /// A momentary brown-out while main power is off: every *held* rail's
     /// transient minimum is pulled down to this voltage (if lower than

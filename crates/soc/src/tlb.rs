@@ -12,7 +12,6 @@
 //! (4 KiB pages).
 
 use crate::error::SocError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use voltboot_sram::{ArrayConfig, OffEvent, PackedBits, ResolutionMode, SramArray, Temperature};
 use voltboot_telemetry::Recorder;
@@ -24,7 +23,7 @@ pub const TLB_ENTRIES: usize = 48;
 pub const PAGE_BYTES: u64 = 4096;
 
 /// A fully-associative TLB with an SRAM entry store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     sram: SramArray,
     /// Round-robin insertion cursor (micro-architectural, resets at

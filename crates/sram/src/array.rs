@@ -5,13 +5,12 @@ use crate::cell::{CellDistribution, CellParams};
 use crate::engine;
 use crate::error::SramError;
 use crate::physics::{LeakageModel, Temperature};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 use voltboot_telemetry::Recorder;
 
 /// Static configuration of an SRAM array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayConfig {
     /// Human-readable name, e.g. `"core0.l1d.data"`.
     pub name: String,
@@ -70,7 +69,7 @@ impl ArrayConfig {
 }
 
 /// What happens to the array's rail when the system's main power is cut.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OffEvent {
     /// The rail is fully disconnected: cells decay with temperature.
     Unpowered,
@@ -105,7 +104,7 @@ impl OffEvent {
 }
 
 /// The array's power state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PowerState {
     /// Normal operation at the nominal rail voltage.
     Powered,
@@ -151,7 +150,7 @@ pub enum ResolutionMode {
 }
 
 /// Summary of what a power cycle did to the array's contents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetentionReport {
     /// Array name, shared with the array that produced the report (so a
     /// million-cycle campaign clones a pointer per cycle, not a string).
@@ -187,7 +186,7 @@ impl RetentionReport {
 ///   ([`OffEvent::Held`]).
 /// * [`SramArray::elapse`] — advances time while off, accumulating decay
 ///   stress at the given ambient temperature.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SramArray {
     config: ArrayConfig,
     seed: u64,
@@ -216,13 +215,11 @@ pub struct SramArray {
     /// The power-on event whose sample the `owed` tiles stand for.
     owed_event: u64,
     /// Memoized die planes for the batched resolution engine. Derived
-    /// data only — rebuilt on demand after deserialization or cloning.
-    #[serde(skip)]
+    /// data only, built on first need; a clone shares it.
     planes: Option<Arc<engine::DiePlanes>>,
     /// Shared copy of `config.name` handed to every retention report.
-    /// Derived data (the config's name is immutable after construction);
-    /// lazily rebuilt after deserialization or cloning.
-    #[serde(skip)]
+    /// Derived data (the config's name is immutable after construction),
+    /// built on the first report; a clone shares it.
     name_shared: Option<Arc<str>>,
 }
 
@@ -304,13 +301,10 @@ impl SramArray {
         p
     }
 
-    /// The die planes for sampling owed tiles: the memoized set, or —
-    /// after deserialization left the memo empty — the cached one,
-    /// fetched without recording a plane counter.
+    /// The memoized die planes, for sampling owed tiles. Only a batched
+    /// power-on owes tiles, and it memoizes the planes first.
     fn owed_planes(&self) -> Arc<engine::DiePlanes> {
-        self.planes.clone().unwrap_or_else(|| {
-            engine::planes_for(self.seed, self.config.bits, &self.config.distribution).0
-        })
+        self.planes.clone().expect("owed tiles are only set after the planes are memoized")
     }
 
     /// Writes every owed tile's power-up sample into `data` and clears

@@ -5,8 +5,6 @@
 //! helpers that the paper's analysis sections use (fractional Hamming
 //! distance, windowed Hamming-distance series for Figure 10).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length, densely packed bit vector.
 ///
 /// Bit `i` lives in word `i / 64` at position `i % 64`; byte views use
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.count_ones(), 1);
 /// assert_eq!(b.to_bytes(), vec![0b0000_1000, 0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PackedBits {
     len: usize,
     words: Vec<u64>,

@@ -14,10 +14,9 @@
 //! array seed and cell index (see [`crate::rng`]).
 
 use crate::rng::{cell_word, event_word, std_normal, unit_f64, Stream};
-use serde::{Deserialize, Serialize};
 
 /// Classification of a cell's power-up behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerUpKind {
     /// The cell reliably powers up as `0`.
     Strong0,
@@ -40,7 +39,7 @@ pub enum PowerUpKind {
 ///   holding the rail at nominal retains every cell.
 /// * Decay budget ~ LogNormal(0, 0.5): combined with the Arrhenius median
 ///   this yields ≈80 % retention at −110 °C / 20 ms and ≈0 % at −40 °C.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellDistribution {
     /// Fraction of cells that are metastable at power-up.
     pub metastable_fraction: f64,
@@ -85,7 +84,7 @@ impl Default for CellDistribution {
 }
 
 /// The derived, immutable parameters of a single cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellParams {
     /// Power-up behaviour class.
     pub powerup: PowerUpKind,

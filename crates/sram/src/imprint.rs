@@ -14,7 +14,6 @@
 
 use crate::array::SramArray;
 use crate::cell::PowerUpKind;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Aging law constants.
@@ -22,7 +21,7 @@ use std::time::Duration;
 /// `shift(t) = max_shift * (1 - exp(-t / tau))` — the probability mass
 /// moved from the cell's native power-up bias toward the imprinted value
 /// after holding it for time `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImprintModel {
     /// Upper bound of the bias shift (published results suggest even
     /// decade-long imprints give only modest recovery; default 0.35).
@@ -66,7 +65,7 @@ impl Default for ImprintModel {
 /// assert!(aged.expected_recovery(&sram) > fresh_recovery);
 /// # Ok::<(), voltboot_sram::SramError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImprintedArray {
     model: ImprintModel,
     /// Imprinted value per cell (the long-held data).

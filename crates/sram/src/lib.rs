@@ -71,11 +71,11 @@ pub use engine::{clear_plane_cache, plane_cache_stats, PlaneCacheStats};
 pub use error::SramError;
 pub use physics::{LeakageModel, Temperature};
 
-/// Serializes the unit tests that touch process-global engine state —
+/// Taken by the unit tests that touch process-global engine state —
 /// clearing the plane cache, reading its counters or the delta-path
-/// counters, or flipping the delta kill switch. Test threads run in
-/// parallel, so without it one test's clear or rebuild lands inside
-/// another's measurement. Held for the whole test; a panicking holder
+/// counters, or flipping the delta kill switch — so they run one at a
+/// time. Test threads run in parallel, so without it one test's clear
+/// or rebuild lands inside another's measurement. Held for the whole test; a panicking holder
 /// does not poison it for the rest.
 #[cfg(test)]
 pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {

@@ -14,7 +14,6 @@
 //!   yields a ≈50 % bit-error rate, i.e. no retention);
 //! * microsecond-scale retention at room temperature.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Boltzmann constant in eV/K.
@@ -28,7 +27,7 @@ pub const BOLTZMANN_EV: f64 = 8.617_333_262e-5;
 /// assert!((t.kelvin() - 233.15).abs() < 1e-9);
 /// assert!((t.celsius() + 40.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Temperature {
     kelvin: f64,
 }
@@ -90,7 +89,7 @@ impl std::fmt::Display for Temperature {
 /// lognormal spread of [`crate::CellParams`]) with an activation energy of
 /// 0.27 eV, which puts −40 °C retention well under a millisecond and room-
 /// temperature retention in the microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     /// Median retention interval at the reference temperature, in seconds.
     pub t_ref_seconds: f64,

@@ -16,7 +16,6 @@
 use crate::array::{ArrayConfig, OffEvent, SramArray};
 use crate::bits::PackedBits;
 use crate::physics::Temperature;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Samples `n` successive power-up images of `array` (fully discharging
@@ -38,7 +37,7 @@ pub fn powerup_samples(array: &mut SramArray, n: usize) -> Vec<PackedBits> {
 }
 
 /// An enrolled SRAM PUF: reference response plus stability mask.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnrolledPuf {
     /// Majority-vote reference response.
     pub reference: PackedBits,
