@@ -11,6 +11,14 @@ use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, PowerCycleSpec, Soc};
 use voltboot_sram::Temperature;
 
+/// Most campaign worker threads one job may ask for. The scheduler
+/// itself clamps workers only at 1024, per job and per executor.
+pub const MAX_THREADS: usize = 64;
+
+/// Most supervised shards one job may ask for. Each shard is a
+/// supervisor thread plus a `shard` worker process, all started at once.
+pub const MAX_SHARDS: u32 = 64;
+
 /// A spec token failed to parse. The message is protocol-safe: one
 /// line, no tabs, ready to ship back as `ERR <detail>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,6 +163,12 @@ impl SweepSpec {
                     if spec.threads == 0 {
                         return Err(SpecError("threads must be at least 1".into()));
                     }
+                    if spec.threads > MAX_THREADS {
+                        return Err(SpecError(format!(
+                            "threads {} exceeds the cap of {MAX_THREADS}",
+                            spec.threads
+                        )));
+                    }
                 }
                 "deadline_ns" => spec.deadline_ns = Some(parsed(key, v)?),
                 "die_seed" => spec.die_seed = parsed(key, v)?,
@@ -170,7 +184,15 @@ impl SweepSpec {
                     spec.temp_c = Some(c);
                 }
                 "off_ms" => spec.off_ms = parsed(key, v)?,
-                "shards" => spec.shards = parsed(key, v)?,
+                "shards" => {
+                    spec.shards = parsed(key, v)?;
+                    if spec.shards > MAX_SHARDS {
+                        return Err(SpecError(format!(
+                            "shards {} exceeds the cap of {MAX_SHARDS}",
+                            spec.shards
+                        )));
+                    }
+                }
                 other => return Err(SpecError(format!("unknown key {other:?}"))),
             }
         }
@@ -208,21 +230,24 @@ impl SweepSpec {
     /// The campaign this spec describes. Retry policy matches the
     /// bench sweep binary so daemon reports byte-match local runs.
     pub fn campaign(&self) -> Campaign {
-        // The default spec's cycle (500 ms at room temperature) is exactly
-        // `PowerCycleSpec::quick()`, the cycle local runs use, so default
-        // reports byte-match them.
-        let attack =
-            VoltBootAttack::new(self.probe.as_str()).passes(self.passes).cycle(PowerCycleSpec {
-                off_duration: Duration::from_millis(self.off_ms),
-                temperature: self.temp_c.map_or(Temperature::ROOM, Temperature::from_celsius),
-            });
         let plan = FaultPlan::new(self.fault_seed, FaultRates::uniform(self.rate));
-        let mut campaign = Campaign::new(attack, plan, self.reps)
+        let mut campaign = Campaign::new(self.attack(), plan, self.reps)
             .retry(RetryPolicy { max_attempts: 3, initial_backoff_ns: 50_000_000 });
         if let Some(deadline) = self.deadline_ns {
             campaign = campaign.deadline_ns(deadline);
         }
         campaign
+    }
+
+    /// The attack every rep of this spec's campaign runs. The default
+    /// spec's cycle (500 ms at room temperature) is exactly
+    /// `PowerCycleSpec::quick()`, the cycle local runs use, so default
+    /// reports byte-match them.
+    fn attack(&self) -> VoltBootAttack {
+        VoltBootAttack::new(self.probe.as_str()).passes(self.passes).cycle(PowerCycleSpec {
+            off_duration: Duration::from_millis(self.off_ms),
+            temperature: self.temp_c.map_or(Temperature::ROOM, Temperature::from_celsius),
+        })
     }
 
     /// The victim builder for this spec's platform and die seed.
@@ -305,6 +330,17 @@ mod tests {
     }
 
     #[test]
+    fn threads_and_shards_are_capped() {
+        // Parse only: a spec at a cap is legal, but never run one here.
+        let spec = SweepSpec::parse(["threads=64", "shards=64"]).unwrap();
+        assert_eq!((spec.threads, spec.shards), (MAX_THREADS, MAX_SHARDS));
+        for bad in ["threads=65", "shards=65", "shards=4294967295"] {
+            let err = SweepSpec::parse([bad]).expect_err(bad);
+            assert!(err.0.ends_with("exceeds the cap of 64"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
     fn off_ms_applies_without_temp_c() {
         // An unset temp_c means room temperature, exactly.
         assert_eq!(Temperature::from_celsius(25.0), Temperature::ROOM);
@@ -326,6 +362,18 @@ mod tests {
         let spec = SweepSpec::parse(["temp_c=-196"]).unwrap();
         assert_eq!(spec.temp_c, Some(-196.0));
         spec.campaign();
+    }
+
+    #[test]
+    fn a_canonical_rep_allocates_two_dram_pages() {
+        // Of the Pi 4's 2,048 DRAM pages, a fault-free rep writes two:
+        // the victim program's and the boot stub's. Every other page stays
+        // unallocated and reads as zeros with its decay applied.
+        let spec = SweepSpec::default();
+        let mut soc = spec.victim()(0);
+        assert_eq!(soc.dram().allocated_pages(), 1, "the victim program's page");
+        spec.attack().execute(&mut soc).expect("a fault-free rep succeeds");
+        assert_eq!(soc.dram().allocated_pages(), 2, "and the boot stub's page");
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! §6.1). The optional scrambler models the DDR3/DDR4 session-key
 //! scrambling the paper's related work discusses: it protects the DRAM
 //! *module* against cold boot, and does nothing for on-chip SRAM.
+//!
+//! The model is lazy in both storage and decay, page by page (see
+//! [`Dram`]): a board allocates only the pages something writes, and a
+//! power cycle's decay reaches a page only when something touches it.
 
 use crate::cache::Backing;
 use crate::dram_remanence::DecayStep;
@@ -13,8 +17,9 @@ use crate::error::SocError;
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// Granularity of lazy decay: a page absorbs every queued step the first
-/// time something touches it.
+/// Granularity of lazy storage and lazy decay: a page is allocated by
+/// the first write or line fill that touches it, and absorbs every
+/// queued decay step the first time something touches it.
 const PAGE_BYTES: usize = 4096;
 
 /// Queued decay steps at which every page is settled and the queue
@@ -25,14 +30,24 @@ const _: () = assert!(DECAY_QUEUE_CAP <= u8::MAX as usize);
 
 /// Byte-addressable DRAM with an optional bus scrambler.
 ///
-/// Unpowered decay is lazy: a power cycle queues its decay step, and each
-/// 4 KiB page applies the steps it has not yet absorbed when something
-/// first touches it. Writes and line fills settle the pages they touch in
-/// place; `&self` readers get settled copies. Every access sees exactly
-/// the bytes an eager sweep of the whole DRAM would have left.
+/// Storage is lazy: each 4 KiB page is allocated by the first write or
+/// line fill that touches it, and until then holds zeros. So is
+/// unpowered decay: a power cycle queues its decay step, and each page
+/// applies the steps it has not yet absorbed when something first
+/// touches it. Writes and line fills allocate and settle the pages they
+/// touch in place; `&self` readers borrow a range inside one allocated,
+/// settled page and get a settled copy of any other. An unallocated
+/// page reads as zeros with its pending steps applied, which is not all
+/// zeros after a cycle: anti-cell blocks decay from 0 toward 1. Every
+/// access sees exactly the bytes an eager sweep of a whole, zero-filled
+/// DRAM would have left.
 #[derive(Debug, Clone)]
 pub struct Dram {
-    bytes: Vec<u8>,
+    /// Size in bytes.
+    len: usize,
+    /// The raw cells, [`PAGE_BYTES`] per page (the last page may be
+    /// shorter); `None` until the page is first written or filled.
+    pages: Vec<Option<Box<[u8]>>>,
     /// Session key of the scrambler; regenerated on every power cycle.
     scramble_key: Option<u64>,
     /// Decay steps queued since the last full settle, oldest first.
@@ -42,13 +57,16 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Creates `size` bytes of unscrambled DRAM.
+    /// Creates `size` bytes of unscrambled, zeroed DRAM. Allocates no
+    /// page yet.
     pub fn new(size: usize) -> Self {
+        let n_pages = size.div_ceil(PAGE_BYTES);
         Dram {
-            bytes: vec![0; size],
+            len: size,
+            pages: vec![None; n_pages],
             scramble_key: None,
             decay: Vec::new(),
-            absorbed: vec![0; size.div_ceil(PAGE_BYTES)],
+            absorbed: vec![0; n_pages],
         }
     }
 
@@ -59,18 +77,26 @@ impl Dram {
 
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// Whether the DRAM is zero-sized.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
+    }
+
+    /// How many 4 KiB pages hold allocated cells: those written or
+    /// filled into a cache line so far, plus those a full settle found
+    /// decay pending on. Every other page reads as zeros with decay
+    /// applied.
+    pub fn allocated_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 
     fn check_range(&self, addr: u64, len: usize) -> Result<usize, SocError> {
         let a = usize::try_from(addr).map_err(|_| SocError::Unmapped { addr })?;
         match a.checked_add(len) {
-            Some(end) if end <= self.bytes.len() => Ok(a),
+            Some(end) if end <= self.len => Ok(a),
             _ => Err(SocError::Unmapped { addr }),
         }
     }
@@ -93,19 +119,26 @@ impl Dram {
         })
     }
 
-    /// Logical write through the controller.
+    /// Logical write through the controller. Allocates and settles the
+    /// pages it touches.
     ///
     /// # Errors
     ///
     /// [`SocError::Unmapped`] past the end.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), SocError> {
         let a = self.check_range(addr, data.len())?;
-        self.settle(a, data.len());
-        match self.scramble_key {
-            None => self.bytes[a..a + data.len()].copy_from_slice(data),
-            Some(key) => {
-                for (i, &b) in data.iter().enumerate() {
-                    self.bytes[a + i] = b ^ Self::pad(key, addr + i as u64);
+        let key = self.scramble_key;
+        for page in pages(a, data.len()) {
+            let (lo, hi) = clip(page, a, data.len());
+            let start = page * PAGE_BYTES;
+            let cells = &mut self.settle_page(page).0[lo - start..hi - start];
+            let src = &data[lo - a..hi - a];
+            match key {
+                None => cells.copy_from_slice(src),
+                Some(key) => {
+                    for ((cell, &b), at) in cells.iter_mut().zip(src).zip(lo as u64..) {
+                        *cell = b ^ Self::pad(key, at);
+                    }
                 }
             }
         }
@@ -114,7 +147,8 @@ impl Dram {
 
     /// What a *physical* probe on the DRAM chip sees (the cold-boot view):
     /// raw cells, decayed, and scrambled if the controller scrambles.
-    /// Borrowed when every page in range has absorbed all queued decay.
+    /// Borrowed when the range lies inside one allocated page that has
+    /// absorbed all queued decay.
     ///
     /// # Errors
     ///
@@ -140,60 +174,77 @@ impl Dram {
         self.decay.push(step);
     }
 
-    /// Applies every queued step to every page and empties the queue,
-    /// returning how many bits flipped.
+    /// Applies every queued step to every page that has not absorbed it,
+    /// allocating those pages, and empties the queue, returning how many
+    /// bits flipped. A page with nothing pending stays as it is,
+    /// allocated or not.
     pub(crate) fn settle_all(&mut self) -> usize {
-        let flipped = (0..self.absorbed.len()).map(|page| self.settle_page(page)).sum();
+        let mut flipped = 0;
+        for page in 0..self.pages.len() {
+            if usize::from(self.absorbed[page]) < self.decay.len() {
+                flipped += self.settle_page(page).1;
+            }
+        }
         self.decay.clear();
         self.absorbed.fill(0);
         flipped
     }
 
-    /// The raw cells with every queued step applied, for writers that
-    /// bypass the controller.
+    /// Runs `edit` on the whole DRAM's raw cells with every queued step
+    /// applied, then stores the result in every page: how the eager
+    /// oracle writes past the controller.
     #[cfg(test)]
-    pub(crate) fn cells_mut(&mut self) -> &mut [u8] {
-        self.settle_all();
-        &mut self.bytes
+    pub(crate) fn edit_cells(&mut self, edit: impl FnOnce(&mut [u8])) {
+        let mut cells = self.settled(0, self.len).into_owned();
+        edit(&mut cells);
+        self.decay.clear();
+        self.absorbed.fill(0);
+        for (page, chunk) in self.pages.iter_mut().zip(cells.chunks(PAGE_BYTES)) {
+            *page = Some(chunk.into());
+        }
     }
 
-    /// Settles, in place, every page `[a, a + len)` touches.
+    /// Allocates and settles, in place, every page `[a, a + len)` touches.
     fn settle(&mut self, a: usize, len: usize) {
         for page in pages(a, len) {
             self.settle_page(page);
         }
     }
 
-    /// Applies the steps `page` has not absorbed yet, in place, returning
-    /// how many bits flipped.
-    fn settle_page(&mut self, page: usize) -> usize {
-        let from = usize::from(self.absorbed[page]);
-        if from == self.decay.len() {
-            return 0;
-        }
+    /// Allocates `page` if it is not yet, and applies the steps it has
+    /// not absorbed in place. Returns its cells and how many bits flipped.
+    fn settle_page(&mut self, page: usize) -> (&mut [u8], usize) {
         let start = page * PAGE_BYTES;
-        let end = (start + PAGE_BYTES).min(self.bytes.len());
-        let cells = &mut self.bytes[start..end];
+        let len = PAGE_BYTES.min(self.len - start);
+        let cells = self.pages[page].get_or_insert_with(|| vec![0; len].into_boxed_slice());
+        let from = usize::from(self.absorbed[page]);
         let flipped = self.decay[from..].iter().map(|step| step.apply(cells, start)).sum();
         self.absorbed[page] = self.decay.len() as u8;
-        flipped
+        (cells, flipped)
     }
 
     /// The raw cells `[a, a + len)` as an eager decay would have left
-    /// them: borrowed if settled, else a copy with the pending steps of
-    /// each page applied.
+    /// them: borrowed if they lie inside one allocated, settled page,
+    /// else a copy with the pending steps of each page applied.
     fn settled(&self, a: usize, len: usize) -> Cow<'_, [u8]> {
-        let cells = &self.bytes[a..a + len];
+        let touched = pages(a, len);
         let absorbed = |page: usize| usize::from(self.absorbed[page]);
-        if pages(a, len).all(|page| absorbed(page) == self.decay.len()) {
-            return Cow::Borrowed(cells);
+        if touched.len() == 1 && absorbed(touched.start) == self.decay.len() {
+            if let Some(cells) = &self.pages[touched.start] {
+                let at = a - touched.start * PAGE_BYTES;
+                return Cow::Borrowed(&cells[at..at + len]);
+            }
         }
-        let mut copy = cells.to_vec();
-        for page in pages(a, len) {
-            let lo = (page * PAGE_BYTES).max(a);
-            let hi = ((page + 1) * PAGE_BYTES).min(a + len);
+        let mut copy = vec![0; len];
+        for page in touched {
+            let (lo, hi) = clip(page, a, len);
+            let out = &mut copy[lo - a..hi - a];
+            if let Some(cells) = &self.pages[page] {
+                let start = page * PAGE_BYTES;
+                out.copy_from_slice(&cells[lo - start..hi - start]);
+            }
             for step in &self.decay[absorbed(page)..] {
-                step.apply(&mut copy[lo - a..hi - a], lo);
+                step.apply(out, lo);
             }
         }
         Cow::Owned(copy)
@@ -213,6 +264,12 @@ fn pages(a: usize, len: usize) -> Range<usize> {
     } else {
         a / PAGE_BYTES..(a + len - 1) / PAGE_BYTES + 1
     }
+}
+
+/// The part of `[a, a + len)` inside `page`, as absolute byte bounds.
+fn clip(page: usize, a: usize, len: usize) -> (usize, usize) {
+    let start = page * PAGE_BYTES;
+    (start.max(a), (start + PAGE_BYTES).min(a + len))
 }
 
 impl Backing for Dram {
@@ -252,6 +309,7 @@ mod tests {
             scrambled in any::<bool>(),
             block in prop_oneof![Just(7usize), Just(100), Just(4096), Just(5000)],
             seed in any::<u64>(),
+            prefilled in any::<bool>(),
             ops in prop::collection::vec(
                 (0u8..8, any::<u64>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..300)),
                 1..60,
@@ -263,8 +321,13 @@ mod tests {
             if scrambled {
                 lazy.enable_scrambler(seed);
             }
-            lazy.write(0, &pattern(size, seed)).unwrap();
+            // Without the fill, pages stay unwritten until an op touches
+            // them, and their anti-cell blocks decay from zeros.
+            if prefilled {
+                lazy.write(0, &pattern(size, seed)).unwrap();
+            }
             let mut eager = lazy.clone();
+            eager.edit_cells(|_| {});
             let mut event = 0u64;
             for (op, a, b, data) in ops {
                 // Addresses run a little past the end, so errors compare too.
@@ -278,7 +341,9 @@ mod tests {
                         {
                             lazy.queue_decay(step);
                         }
-                        byte_loop(eager.cells_mut(), &model, dt, Temperature::ROOM, seed, event);
+                        eager.edit_cells(|cells| {
+                            byte_loop(cells, &model, dt, Temperature::ROOM, seed, event);
+                        });
                         event += 1;
                     }
                     2 => prop_assert_eq!(lazy.write(addr, &data), eager.write(addr, &data)),
@@ -301,9 +366,16 @@ mod tests {
             }
             prop_assert_eq!(lazy.raw_cells(0, size).unwrap(), eager.raw_cells(0, size).unwrap());
             prop_assert_eq!(lazy.read(0, size).unwrap(), eager.read(0, size).unwrap());
+            let pending: Vec<bool> =
+                lazy.absorbed.iter().map(|&n| usize::from(n) < lazy.decay.len()).collect();
+            let allocated: Vec<bool> = lazy.pages.iter().map(Option::is_some).collect();
             lazy.settle_all();
             prop_assert!(lazy.decay.is_empty());
-            prop_assert_eq!(&lazy.bytes, &eager.bytes);
+            for (page, cells) in lazy.pages.iter().enumerate() {
+                // A full settle allocates exactly the pages with pending steps.
+                prop_assert_eq!(cells.is_some(), allocated[page] || pending[page], "page {}", page);
+            }
+            prop_assert_eq!(lazy.raw_cells(0, size).unwrap(), eager.raw_cells(0, size).unwrap());
         }
     }
 
@@ -316,11 +388,13 @@ mod tests {
         d.queue_decay(step);
         d.write(PAGE_BYTES as u64 - 2, &[0; 4]).unwrap();
         assert_eq!(d.absorbed, [1, 1, 0, 0]);
-        let before = d.bytes[3 * PAGE_BYTES..].to_vec();
+        let before = d.pages[3].clone();
         // `&self` readers hand out settled copies and leave the cells be.
         assert!(matches!(d.raw_cells(3 * PAGE_BYTES as u64, 8).unwrap(), Cow::Owned(_)));
         assert!(matches!(d.raw_cells(8, 8).unwrap(), Cow::Borrowed(_)));
-        assert_eq!(d.bytes[3 * PAGE_BYTES..], before[..]);
+        // Settled pages, but the range spans two of them.
+        assert!(matches!(d.raw_cells(PAGE_BYTES as u64 - 4, 8).unwrap(), Cow::Owned(_)));
+        assert_eq!(d.pages[3], before);
         assert_eq!(d.absorbed, [1, 1, 0, 0]);
     }
 
@@ -347,7 +421,41 @@ mod tests {
         }
         assert_eq!(lazy.raw_cells(0, size).unwrap(), eager.raw_cells(0, size).unwrap());
         lazy.settle_all();
-        assert_eq!(lazy.bytes, eager.bytes);
+        assert_eq!(lazy.raw_cells(0, size).unwrap(), eager.raw_cells(0, size).unwrap());
+    }
+
+    #[test]
+    fn pages_are_allocated_on_first_write() {
+        let model = DramRemanenceModel::calibrated();
+        let mut d = Dram::new(4 * PAGE_BYTES + 100);
+        assert_eq!(d.allocated_pages(), 0, "a new DRAM allocates nothing");
+        assert_eq!(d.read(0, d.len()).unwrap(), vec![0; d.len()]);
+        // A full decay step: every charged cell decays, so the anti-cell
+        // page 1 reads all ones although nothing was ever written there.
+        let step = DecayStep::new(&model, INTERVALS[4], Temperature::ROOM, 5, 0).unwrap();
+        d.queue_decay(step);
+        let page1 = d.raw_cells(PAGE_BYTES as u64, PAGE_BYTES).unwrap();
+        assert!(matches!(page1, Cow::Owned(_)));
+        assert!(page1.iter().all(|&b| b == 0xFF));
+        assert_eq!(d.raw_cells(0, 8).unwrap(), &[0; 8][..]);
+        assert_eq!(d.allocated_pages(), 0, "reads allocate nothing");
+        // A write allocates (and settles) just the pages it touches.
+        d.write(3 * PAGE_BYTES as u64 + 10, &[7; 3]).unwrap();
+        assert_eq!(d.allocated_pages(), 1);
+        assert_eq!(
+            d.raw_cells(3 * PAGE_BYTES as u64 + 8, 6).unwrap(),
+            &[0xFF, 0xFF, 7, 7, 7, 0xFF][..]
+        );
+        let mut line = [0u8; 64];
+        d.read_line(64, &mut line).unwrap();
+        assert_eq!(d.allocated_pages(), 2, "a line fill allocates its page");
+        // A full settle allocates only the pages that still owe a step:
+        // 1, 2 and 4. Only the anti-cell page 1 holds charged cells.
+        assert_eq!(d.settle_all(), 8 * PAGE_BYTES);
+        assert_eq!(d.allocated_pages(), 5);
+        let mut fresh = Dram::new(4 * PAGE_BYTES);
+        assert_eq!(fresh.settle_all(), 0);
+        assert_eq!(fresh.allocated_pages(), 0, "nothing pending, nothing allocated");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use crate::dram::Dram;
 use std::time::Duration;
+use voltboot_sram::rng::unit_threshold;
 use voltboot_sram::{LeakageModel, Temperature};
 
 /// Calibration of the DRAM decay law.
@@ -106,13 +107,6 @@ pub fn apply_decay(
 /// `2⁵³`: a cell's decay draw is a 53-bit integer `k`, read as `k·2⁻⁵³`.
 const DRAW_UNIT: u64 = 1 << 53;
 
-/// `⌈p·2⁵³⌉`, the integer bound equivalent to the float test
-/// `k·2⁻⁵³ < p` on a 53-bit draw `k`: scaling by a power of two is
-/// exact, so `k·2⁻⁵³ < p ⟺ k < p·2⁵³ ⟺ k < ⌈p·2⁵³⌉` for integer `k`.
-fn draw_threshold(p: f64) -> u64 {
-    (p * DRAW_UNIT as f64).ceil() as u64
-}
-
 /// One unpowered interval's decay, applicable to any run of cells.
 ///
 /// A cell's fate is a pure function of the step, its absolute cell index
@@ -123,9 +117,9 @@ fn draw_threshold(p: f64) -> u64 {
 pub(crate) struct DecayStep {
     /// Per-interval hash key, `seed ^ event·φ`.
     key: u64,
-    /// A charged cell decays iff its draw `k < threshold`; see
-    /// [`draw_threshold`]. `2⁵³` (`p ≥ 1`) decays every charged cell,
-    /// so no draw is hashed.
+    /// A charged cell decays iff its draw `k < threshold`, the exact
+    /// integer form of `k·2⁻⁵³ < p` ([`unit_threshold`]). `2⁵³`
+    /// (`p ≥ 1`) decays every charged cell, so no draw is hashed.
     threshold: u64,
     /// Size of the alternating true-cell / anti-cell blocks, in bytes.
     block: usize,
@@ -144,7 +138,7 @@ impl DecayStep {
         let p = model.decay_probability(dt, temperature);
         (p > 0.0).then(|| DecayStep {
             key: seed ^ event.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            threshold: draw_threshold(p),
+            threshold: unit_threshold(p),
             block: model.cell_block_bytes,
         })
     }
@@ -343,12 +337,12 @@ pub(crate) mod tests {
             ps.push(m.decay_probability(dt, Temperature::from_celsius(-60.0 + i as f64)));
         }
         for p in ps {
-            let t = draw_threshold(p);
+            let t = unit_threshold(p);
             for k in [t.saturating_sub(1), t, t + 1] {
                 assert_eq!((k as f64) * unit < p, k < t, "p = {p:e}, k = {k}, t = {t}");
             }
         }
-        assert_eq!(draw_threshold(1.0), DRAW_UNIT);
+        assert_eq!(unit_threshold(1.0), DRAW_UNIT);
     }
 
     #[test]

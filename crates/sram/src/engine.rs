@@ -21,7 +21,9 @@
 //!      sample that needs the tile: a read, partial write or settle of
 //!      an owed tile (see [`SramArray`](crate::SramArray)'s owed
 //!      power-up tiles), or a query that can lose a cell, which builds
-//!      the whole block before its kernels fan out;
+//!      the whole block before its kernels fan out. A tile is derived a
+//!      word at a time ([`powerup_record`]): integer class tests, no
+//!      float and no branch per cell;
 //!    * the **DRV block** — every cell's DRV quantized onto a 12-bit
 //!      grid (1.5 B/cell) — is built by the first held-rail query whose
 //!      threshold falls inside the DRV range (a droop);
@@ -29,11 +31,12 @@
 //!      14-bit grid (1.75 B/cell, plus a 128 KiB cut table) — is built
 //!      by the first unpowered query with positive stress.
 //!
-//!    A retention block *transposes* its buckets into bit-sliced tiles
-//!    of [`TILE_WORDS`] words × one row per bucket bit, L1-resident
-//!    while its 4096 cells resolve. The grid widths trade exact-fallback
-//!    volume against memory traffic: each extra bit-plane row streams
-//!    another ~0.13 bytes per cell per cycle, while each bit *removed*
+//!    A retention block *transposes* its buckets, derived 64 to a batch
+//!    per word, into bit-sliced tiles of [`TILE_WORDS`] words × one row
+//!    per bucket bit, L1-resident while its 4096 cells resolve. The grid
+//!    widths trade exact-fallback volume against memory traffic: each
+//!    extra bit-plane row streams another ~0.13 bytes per cell per
+//!    cycle, while each bit *removed*
 //!    doubles the (cheap, exact) bucket-tie fallback rate — these widths
 //!    keep ties in the low thousands per megabyte while the warm cycle
 //!    stays bandwidth-lean. A fresh die's first power-on and a
@@ -62,9 +65,9 @@
 
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
-use crate::cell::{derive_decay_budget, derive_drv, derive_powerup, CellDistribution, PowerUpKind};
+use crate::cell::{derive_decay_budget, derive_drv, derive_powerup, CellDistribution};
 use crate::par;
-use crate::rng::{event_base, event_word_at, unit_f64};
+use crate::rng::{cell_word, event_base, event_word_at, mix64, unit_f64, unit_threshold, Stream};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -147,12 +150,15 @@ const MAX_BASELINE_BYTES: usize = 64 << 20;
 /// Multiplying a finite f64 by a power of two is exact, so this is the
 /// true floor of `p * 256` — which makes the bucket of a uniform sample
 /// `u = unit_f64(w)` recoverable straight from the random word's top
-/// byte (`w >> 56`) with no float arithmetic at all; the hot power-up
-/// sampler relies on that identity (tested below). Eight bits keeps the
+/// byte (`w >> 56`) with no float arithmetic at all. Both hot paths rely
+/// on that identity (tested below), so this function is the definition
+/// they are tested against rather than code they call: the power-up
+/// sampler buckets its uniform draw that way, and [`powerup_record`]
+/// buckets a metastable cell's bias that way. Eight bits keeps the
 /// per-cell bias plane at one byte — the plane is read at sparse,
 /// data-dependent offsets, so its cache traffic is what the grid width
 /// actually buys — while ties (≈1/256 of draws) re-derive exactly.
-#[inline]
+#[cfg(test)]
 fn prob_bucket(p: f64) -> u8 {
     ((p * 256.0) as u64).min(255) as u8
 }
@@ -249,8 +255,52 @@ pub(crate) struct PowerUpWord {
     bias_q: [u8; 64],
 }
 
+impl PowerUpWord {
+    /// A word of strong-0 cells: also the record of padding cells.
+    const EMPTY: PowerUpWord = PowerUpWord { strong1: 0, metastable: 0, bias_q: [0; 64] };
+}
+
 /// One tile's share of the power-up block (5 KiB).
 pub(crate) type PowerUpTile = [PowerUpWord; TILE_WORDS];
+
+/// The salt [`derive_powerup`] re-mixes a metastable cell's bias word
+/// with to draw its bias.
+const METASTABLE_BIAS_SALT: u64 = 0x5bf0_3635;
+
+/// Derives the power-up record of the `cells` cells from `cell0` on (at
+/// most 64, one word), bit-identical to [`derive_powerup`] followed by
+/// [`prob_bucket`] per cell. `bounds` are the [`unit_threshold`]s of
+/// `derive_powerup`'s two class tests, `s / 2` and `s` for the strong
+/// fraction `s`.
+///
+/// A cell's class is then two integer compares of its draw's 53 high
+/// bits, turned into mask bits without a branch. Strong cells' bias
+/// bytes are `prob_bucket(0.0) = 0` and `prob_bucket(1.0) = 255`; a
+/// metastable cell's is `prob_bucket(unit_f64(m))`, which is `m`'s top
+/// byte (see [`prob_bucket`]), so only the metastable cells hash a
+/// second word and no cell converts a draw to a float.
+#[inline]
+fn powerup_record(seed: u64, cell0: usize, cells: usize, bounds: (u64, u64)) -> PowerUpWord {
+    let (strong0_below, strong_below) = bounds;
+    let mut draws = [0u64; 64];
+    let mut pw = PowerUpWord::EMPTY;
+    for (b, draw) in draws.iter_mut().enumerate().take(cells) {
+        let w = cell_word(seed, cell0 + b, Stream::PowerUpBias);
+        let k = w >> 11;
+        let strong1 = (k >= strong0_below) & (k < strong_below);
+        pw.strong1 |= u64::from(strong1) << b;
+        pw.metastable |= u64::from(k >= strong_below) << b;
+        pw.bias_q[b] = 0u8.wrapping_sub(u8::from(strong1));
+        *draw = w;
+    }
+    let mut meta = pw.metastable;
+    while meta != 0 {
+        let b = meta.trailing_zeros() as usize;
+        pw.bias_q[b] = (mix64(draws[b] ^ METASTABLE_BIAS_SALT) >> 56) as u8;
+        meta &= meta - 1;
+    }
+    pw
+}
 
 /// The decay block: bucket rows plus the cut table that bucketed them
 /// (which also buckets each query's stress).
@@ -337,22 +387,17 @@ impl DiePlanes {
         }
     }
 
-    /// Tile `t` of the power-up block, derived on first call.
+    /// Tile `t` of the power-up block, derived on first call, one word
+    /// at a time ([`powerup_record`]).
     pub(crate) fn powerup_tile(&self, t: usize) -> &PowerUpTile {
         self.powerup[t].get_or_init(|| {
-            let empty = PowerUpWord { strong1: 0, metastable: 0, bias_q: [0; 64] };
-            let mut tile = Box::new([empty; TILE_WORDS]);
+            let strong = 1.0 - self.dist.metastable_fraction;
+            let bounds = (unit_threshold(strong / 2.0), unit_threshold(strong));
+            let mut tile = Box::new([PowerUpWord::EMPTY; TILE_WORDS]);
             for (k, pw) in tile.iter_mut().enumerate() {
                 let cell0 = (t * TILE_WORDS + k) * 64;
-                for b in 0..self.bits.saturating_sub(cell0).min(64) {
-                    let (kind, bias) = derive_powerup(self.seed, cell0 + b, &self.dist);
-                    match kind {
-                        PowerUpKind::Strong0 => {}
-                        PowerUpKind::Strong1 => pw.strong1 |= 1 << b,
-                        PowerUpKind::Metastable => pw.metastable |= 1 << b,
-                    }
-                    pw.bias_q[b] = prob_bucket(bias);
-                }
+                let cells = self.bits.saturating_sub(cell0).min(64);
+                *pw = powerup_record(self.seed, cell0, cells, bounds);
             }
             tile
         })
@@ -448,7 +493,9 @@ fn for_tile_runs(bits: usize, run: impl Fn(std::ops::Range<usize>) + Sync) {
 
 /// Derives a retention block: every cell's `BITS`-bit bucket, transposed
 /// MSB-first into the block's bit-plane rows (see [`DiePlanes`] for the
-/// layout).
+/// layout). A word's 64 buckets are derived into a batch first and then
+/// transposed one row at a time, so the derivation loop carries no row
+/// state; padding cells keep bucket 0.
 fn build_bucket_rows<const BITS: usize>(
     bits: usize,
     bucket: impl Fn(usize) -> u16 + Sync,
@@ -459,15 +506,16 @@ fn build_bucket_rows<const BITS: usize>(
             let word0 = (tile0 + ti) * TILE_WORDS;
             for j in 0..TILE_WORDS.min(bits.div_ceil(64) - word0) {
                 let cell0 = (word0 + j) * 64;
-                let mut acc = [0u64; BITS];
-                for b in 0..(bits - cell0).min(64) {
-                    let q = bucket(cell0 + b);
-                    for (r, row) in acc.iter_mut().enumerate() {
-                        *row |= u64::from((q >> (BITS - 1 - r)) & 1) << b;
-                    }
+                let mut batch = [0u16; 64];
+                for (b, q) in batch.iter_mut().enumerate().take(bits - cell0) {
+                    *q = bucket(cell0 + b);
                 }
-                for (r, row) in acc.into_iter().enumerate() {
-                    tile[r * TILE_WORDS + j] = row;
+                for r in 0..BITS {
+                    let shift = BITS - 1 - r;
+                    tile[r * TILE_WORDS + j] = batch
+                        .iter()
+                        .enumerate()
+                        .fold(0, |row, (b, &q)| row | u64::from((q >> shift) & 1) << b);
                 }
             }
         }
@@ -1342,6 +1390,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn prob_bucket_orders_consistently() {
@@ -1372,6 +1421,153 @@ mod tests {
         for w in [0u64, 1, u64::MAX, u64::MAX << 11, 0xFF00_0000_0000_0000] {
             assert_eq!((w >> 56) as u8, prob_bucket(crate::rng::unit_f64(w)));
         }
+    }
+
+    /// The per-cell power-up record [`powerup_record`] must match: one
+    /// [`derive_powerup`] and [`prob_bucket`] per cell.
+    fn powerup_record_oracle(
+        seed: u64,
+        cell0: usize,
+        bits: usize,
+        dist: &CellDistribution,
+    ) -> PowerUpWord {
+        use crate::cell::PowerUpKind;
+        let mut pw = PowerUpWord::EMPTY;
+        for b in 0..bits.saturating_sub(cell0).min(64) {
+            let (kind, bias) = derive_powerup(seed, cell0 + b, dist);
+            match kind {
+                PowerUpKind::Strong0 => {}
+                PowerUpKind::Strong1 => pw.strong1 |= 1 << b,
+                PowerUpKind::Metastable => pw.metastable |= 1 << b,
+            }
+            pw.bias_q[b] = prob_bucket(bias);
+        }
+        pw
+    }
+
+    /// The per-cell retention-row transpose [`build_bucket_rows`] must
+    /// match, single-threaded.
+    fn bucket_rows_oracle<const BITS: usize>(
+        bits: usize,
+        bucket: impl Fn(usize) -> u16,
+    ) -> Vec<u64> {
+        let mut rows = vec![0u64; bits.div_ceil(TILE_CELLS) * BITS * TILE_WORDS];
+        for word in 0..bits.div_ceil(64) {
+            let (tile, j) = (word / TILE_WORDS, word % TILE_WORDS);
+            let cell0 = word * 64;
+            let mut acc = [0u64; BITS];
+            for b in 0..(bits - cell0).min(64) {
+                let q = bucket(cell0 + b);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    *row |= u64::from((q >> (BITS - 1 - r)) & 1) << b;
+                }
+            }
+            for (r, row) in acc.into_iter().enumerate() {
+                rows[(tile * BITS + r) * TILE_WORDS + j] = row;
+            }
+        }
+        rows
+    }
+
+    /// Metastable fractions at, next to and between the ends of the
+    /// power-up class tests.
+    const META_FRACTIONS: [f64; 6] = [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0];
+
+    /// Array sizes on either side of word and tile edges.
+    const EDGE_BITS: [usize; 7] = [1, 63, 64, 65, 4095, 4096, 4097];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn powerup_tiles_match_the_per_cell_oracle(
+            seed in any::<u64>(),
+            fraction in 0..META_FRACTIONS.len(),
+            size in 0..EDGE_BITS.len(),
+        ) {
+            let dist = CellDistribution {
+                metastable_fraction: META_FRACTIONS[fraction],
+                ..CellDistribution::calibrated()
+            };
+            let bits = EDGE_BITS[size];
+            let planes = DiePlanes::build(seed, bits, &dist);
+            for t in 0..bits.div_ceil(TILE_CELLS) {
+                for (j, pw) in planes.powerup_tile(t).iter().enumerate() {
+                    let cell0 = (t * TILE_WORDS + j) * 64;
+                    let want = powerup_record_oracle(seed, cell0, bits, &dist);
+                    prop_assert_eq!(
+                        (pw.strong1, pw.metastable, pw.bias_q),
+                        (want.strong1, want.metastable, want.bias_q),
+                        "cells {}.. of {} at metastable fraction {}",
+                        cell0,
+                        bits,
+                        dist.metastable_fraction
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn bucket_rows_match_the_per_cell_transpose(
+            salt in any::<u64>(),
+            size in 0..EDGE_BITS.len() + 1,
+        ) {
+            // Every edge size, plus a few tiles with a ragged last word.
+            let bits = EDGE_BITS.get(size).copied().unwrap_or(3 * TILE_CELLS + 77);
+            let bucket = |cell: usize| crate::rng::mix64(salt ^ cell as u64) as u16;
+            prop_assert_eq!(
+                build_bucket_rows::<DRV_BITS>(bits, |c| bucket(c) >> (16 - DRV_BITS)),
+                bucket_rows_oracle::<DRV_BITS>(bits, |c| bucket(c) >> (16 - DRV_BITS))
+            );
+            prop_assert_eq!(
+                build_bucket_rows::<DECAY_BITS>(bits, |c| bucket(c) >> (16 - DECAY_BITS)),
+                bucket_rows_oracle::<DECAY_BITS>(bits, |c| bucket(c) >> (16 - DECAY_BITS))
+            );
+        }
+    }
+
+    #[test]
+    fn cells_on_a_class_bound_classify_like_the_oracle() {
+        // Random draws almost never land on a class bound, so pick the
+        // metastable fraction that puts one cell's draw `u` exactly on
+        // `s` (so it is metastable, not strong-1) or on `s / 2` (strong-1,
+        // not strong-0). `1 - s` is exact for `s` in [0.5, 1], so the
+        // fraction gives back `s` bit for bit.
+        for seed in [1u64, 0xfeed, 0x5EED_0B0B, u64::MAX] {
+            for cell in 0..64 {
+                let u = unit_f64(cell_word(seed, cell, Stream::PowerUpBias));
+                for s in [u, 2.0 * u].into_iter().filter(|s| (0.5..=1.0).contains(s)) {
+                    let dist = CellDistribution {
+                        metastable_fraction: 1.0 - s,
+                        ..CellDistribution::calibrated()
+                    };
+                    assert_eq!(1.0 - dist.metastable_fraction, s);
+                    let got = DiePlanes::build(seed, 64, &dist).powerup_tile(0)[0];
+                    let want = powerup_record_oracle(seed, 0, 64, &dist);
+                    assert_eq!(
+                        (got.strong1, got.metastable, got.bias_q),
+                        (want.strong1, want.metastable, want.bias_q),
+                        "seed {seed:#x}, cell {cell} on the bound {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retention_blocks_match_the_per_cell_transpose() {
+        // The real quantizers on one calibrated die, a few tiles long.
+        let dist = CellDistribution::calibrated();
+        let (seed, bits) = (0x7A11_5EED, 2 * TILE_CELLS + 300);
+        let planes = DiePlanes::build(seed, bits, &dist);
+        let grid = DrvGrid::new(&dist);
+        let drv = bucket_rows_oracle::<DRV_BITS>(bits, |c| grid.bucket(derive_drv(seed, c, &dist)));
+        assert_eq!(planes.drv_rows(), drv, "DRV block");
+        let cuts = &planes.decay_block().cuts;
+        let decay = bucket_rows_oracle::<DECAY_BITS>(bits, |c| {
+            cuts.bucket(derive_decay_budget(seed, c, &dist))
+        });
+        assert_eq!(planes.decay_block().rows, decay, "decay block");
     }
 
     #[test]

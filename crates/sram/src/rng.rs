@@ -70,6 +70,23 @@ pub(crate) fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The integer bound `t` with `k·2⁻⁵³ < x ⟺ k < t` for every 53-bit
+/// draw `k` (a random word's top 53 bits, read as a uniform in
+/// `[0, 1)`), so a hot loop compares the draw instead of converting it.
+/// Scaling by 2⁵³ is exact, so `t = ⌈x·2⁵³⌉`, clamped to 0 for `x ≤ 0`
+/// (and NaN, which no draw is below) and to 2⁵³ for `x ≥ 1`.
+#[inline]
+pub fn unit_threshold(x: f64) -> u64 {
+    const UNIT: u64 = 1 << 53;
+    if x >= 1.0 {
+        UNIT
+    } else if x > 0.0 {
+        (x * UNIT as f64).ceil() as u64
+    } else {
+        0
+    }
+}
+
 /// Maps two 64-bit words to a standard normal sample (Box–Muller).
 #[inline]
 pub(crate) fn std_normal(w1: u64, w2: u64) -> f64 {
@@ -112,6 +129,46 @@ mod tests {
         let n = 100_000u64;
         let mean: f64 = (0..n).map(|i| unit_f64(mix64(i))).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn unit_threshold_is_exact_at_its_boundary() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            unit,
+            1e-9,
+            0.15,
+            0.35,
+            0.5,
+            0.7,
+            1.0 - 1e-9,
+            1.0 - unit,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for i in 0..500u64 {
+            // Dyadic draws, and values in [2⁻⁶³, 1) finer than 2⁻⁵³ apart.
+            xs.push(unit_f64(mix64(i)));
+            xs.push(f64::from_bits((0x3c0 + i % 0x3f) << 52 | mix64(!i) >> 12));
+        }
+        for x in xs {
+            let t = unit_threshold(x);
+            assert!(t <= 1 << 53, "x = {x:e}, t = {t}");
+            for k in [t.saturating_sub(1), t, t + 1] {
+                // `k` is a 53-bit draw only below 2⁵³; `k << 11` keeps it.
+                if k < 1 << 53 {
+                    assert_eq!(k < t, unit_f64(k << 11) < x, "x = {x:e}, k = {k}, t = {t}");
+                }
+            }
+        }
     }
 
     #[test]
