@@ -12,7 +12,7 @@
 //!     [--reps N] [--passes N] [--threads N] [--deadline-ns N] \
 //!     [--checkpoint PATH [--resume]] [--trace-out STEM] \
 //!     [--connect ADDR [--reconnect] [--shards N] [--dashboard]] \
-//!     [--smoke] [--resume-smoke] [--delta-smoke]
+//!     [--smoke]
 //! ```
 //!
 //! * `--passes N` reads each SRAM unit N times and majority-votes the
@@ -57,20 +57,18 @@
 //! `VOLTBOOT_SEED` / `VOLTBOOT_FAULT_SEED` produce byte-identical
 //! reports — whatever `--threads` says. `--smoke` runs a small
 //! fixed-seed campaign sequentially and again under `--threads`, fails
-//! the process on any byte drift or schema regression, and skips the
-//! file write — the CI gate. `--resume-smoke` is the companion gate for
-//! the checkpoint path: it kills a fixed-seed campaign halfway under
-//! `--threads`, resumes it under a *different* thread count, and fails
-//! on any byte drift against the uninterrupted report. `--delta-smoke`
-//! is the companion gate for the rep-delta resolution path: the same
-//! fixed-seed sweep runs once with the sparse path forced off and once
-//! with it on (same seeds, fault injection live), and the reports *and*
-//! every trace export must byte-match — `VOLTBOOT_NO_DELTA=1` remains
-//! the runtime escape hatch for bisecting a suspected delta bug.
+//! the process on any byte drift, schema regression or a throughput
+//! under its floor, and skips the file write — the CI gate. Kill and
+//! resume across thread counts, the rep-delta path and the trace
+//! exports are checked by the integration tests under
+//! `crates/core/tests/` (`campaign_props`, `delta_campaign`).
+//!
+//! Any argument that is not one of the flags above, or a flag's value,
+//! exits 2 with the usage line before anything runs.
 
 use std::path::{Path, PathBuf};
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RepStatus, RetryPolicy};
+use voltboot::campaign::{Campaign, RepStatus, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot::telemetry::json::Value;
 use voltboot::telemetry::{export, parse, Recorder};
@@ -156,7 +154,12 @@ fn sweep_document(cfg: &SweepConfig) -> (Value, Recorder) {
                         .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()))
                 } else {
                     campaign
-                        .run_checkpointed_parallel(cfg.threads, &path, victim(cfg.die_seed))
+                        .run_shard_parallel(
+                            cfg.threads,
+                            ShardRange::whole(cfg.reps),
+                            &path,
+                            victim(cfg.die_seed),
+                        )
                         .unwrap_or_else(|e| panic!("checkpoint to {}: {e}", path.display()))
                 }
             }
@@ -385,7 +388,7 @@ const SCHEMA_KEYS: [&str; 18] = [
     "\"waves\"",
 ];
 
-/// Fixed seeds for the smoke gates: they check reproducibility and
+/// Fixed seeds for the smoke gate: it checks reproducibility and
 /// schema, not the user's environment.
 const SMOKE_SEEDS: (u64, u64) = (0x0020_22A5_B007, 0x000F_A017_C0DE);
 
@@ -459,159 +462,37 @@ fn smoke(threads: usize) -> i32 {
     0
 }
 
-/// Rep-delta equivalence gate: the same fixed-seed fault-injected
-/// campaign with the sparse path forced off, then forced on, must
-/// produce a byte-identical report *and* byte-identical trace exports
-/// (Chrome trace, folded stacks, rail waveforms). Unlike the canonical
-/// sweep — which re-seeds the die every rep precisely so repetitions
-/// stay statistically independent — this gate pins **one die across
-/// all reps**, the million-rep sweep shape the delta path exists for;
-/// otherwise no `(die, treatment)` key would ever repeat and the gate
-/// would compare dense against dense. The attack uses a weak probe
-/// (the paper's droop failure mode): a cleanly held rail retains
-/// everything and takes the certainly-retained shortcut past batch
-/// resolution, while the droop's partial corruption forces a real
-/// resolve of the same `(die, treatment)` key every rep. Runs under
-/// `--threads` so per-worker baseline leases are in play.
-/// `VOLTBOOT_NO_DELTA` being set skips the gate — that env var exists
-/// precisely so a bisection can hold the delta path off.
-///
-/// A third leg re-runs the sparse sweep with the fleet metrics plane
-/// (`voltboot_telemetry::metrics`) disabled and byte-compares again:
-/// the wall-clock metrics plane must be strictly out-of-band, so
-/// freezing it cannot move the report or any trace export by a byte.
-fn delta_smoke(threads: usize) -> i32 {
-    use voltboot_sram::{clear_plane_cache, delta};
-    if !delta::enabled() {
-        println!("delta smoke skipped: VOLTBOOT_NO_DELTA holds the rep-delta path off");
-        return 0;
-    }
-    let plan = FaultPlan::new(SMOKE_SEEDS.1, FaultRates::uniform(0.2));
-    let attack =
-        VoltBootAttack::new("TP15").passes(3).probe(voltboot_pdn::Probe::weak_source(0.0, 0.2));
-    let campaign = Campaign::new(attack, plan, 6)
-        .retry(RetryPolicy { max_attempts: 3, initial_backoff_ns: 50_000_000 });
-    let fixed_die = victim(SMOKE_SEEDS.0);
-    let fixed_victim = |_rep: u64| fixed_die(0);
+/// Flags followed by a value.
+const VALUE_FLAGS: [&str; 8] = [
+    "--reps",
+    "--passes",
+    "--threads",
+    "--deadline-ns",
+    "--checkpoint",
+    "--trace-out",
+    "--connect",
+    "--shards",
+];
 
-    delta::force_disable(true);
-    clear_plane_cache();
-    let dense = campaign.run_parallel(threads, fixed_victim);
+/// Flags that stand alone.
+const SWITCHES: [&str; 4] = ["--resume", "--reconnect", "--dashboard", "--smoke"];
 
-    delta::force_disable(false);
-    clear_plane_cache();
-    let reps_before = delta::stats().delta_reps;
-    let sparse = campaign.run_parallel(threads, fixed_victim);
-    let delta_reps = delta::stats().delta_reps - reps_before;
+const USAGE: &str = "usage: campaign [--reps N] [--passes N] [--threads N] [--deadline-ns N] \
+                     [--checkpoint PATH [--resume]] [--trace-out STEM] \
+                     [--connect ADDR [--reconnect] [--shards N] [--dashboard]] [--smoke]";
 
-    if sparse.to_json() != dense.to_json() {
-        eprintln!(
-            "DELTA SMOKE FAIL: delta-path report differs byte-wise from the dense report \
-             (same seeds, {threads} threads, faults live)"
-        );
-        return 1;
-    }
-    type TraceView = fn(&Recorder) -> String;
-    let exports: [(&str, TraceView); 3] = [
-        ("chrome trace", |r| export::chrome_trace(r).render_pretty()),
-        ("folded stacks", export::folded),
-        ("rail waveforms", export::waveforms_csv),
-    ];
-    for (name, render) in exports {
-        if render(&sparse.recorder) != render(&dense.recorder) {
-            eprintln!("DELTA SMOKE FAIL: {name} export differs between delta and dense runs");
-            return 1;
+/// The first argument that is neither a known flag nor the value of a
+/// flag that takes one.
+fn unknown_argument(args: &[String]) -> Option<&str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Some(arg);
         }
     }
-    if delta_reps == 0 {
-        eprintln!(
-            "DELTA SMOKE FAIL: the fixed-die sweep never rode the delta path — the gate \
-             compared dense against dense and proved nothing"
-        );
-        return 1;
-    }
-
-    // The metrics-plane leg: the same sparse sweep with the fleet
-    // metrics plane frozen must produce the same bytes. A drift here
-    // means some wall-clock counter leaked into the deterministic
-    // surface (report or trace exports) — the out-of-band invariant
-    // DESIGN §18 pins.
-    use voltboot::telemetry::metrics;
-    metrics::set_enabled(false);
-    clear_plane_cache();
-    let frozen = campaign.run_parallel(threads, fixed_victim);
-    metrics::set_enabled(true);
-    if frozen.to_json() != sparse.to_json() {
-        eprintln!(
-            "DELTA SMOKE FAIL: report differs byte-wise with the metrics plane disabled — \
-             the metrics plane leaked into the deterministic surface"
-        );
-        return 1;
-    }
-    for (name, render) in exports {
-        if render(&frozen.recorder) != render(&sparse.recorder) {
-            eprintln!(
-                "DELTA SMOKE FAIL: {name} export differs with the metrics plane disabled — \
-                 the metrics plane leaked into the deterministic surface"
-            );
-            return 1;
-        }
-    }
-
-    println!(
-        "delta smoke ok: report and all trace exports byte-identical across dense/sparse and \
-         metrics on/off, {delta_reps} reps rode the sparse path ({threads} threads, faults live)"
-    );
-    0
-}
-
-/// Kill-and-resume determinism gate: run a fixed-seed campaign to
-/// completion, then run the same campaign again but stop it after half
-/// the repetitions (simulating a kill) under `--threads`, resume from
-/// the checkpoint under a *different* thread count, and demand the
-/// resumed report byte-match the uninterrupted one — checkpoints must
-/// compose across thread counts.
-fn resume_smoke(threads: usize) -> i32 {
-    let (die_seed, fault_seed, reps, kill_at) = (SMOKE_SEEDS.0, SMOKE_SEEDS.1, 6, 3);
-    // Crossing thread counts is the point of the gate; with
-    // `--threads 1` the resume side exercises the parallel runner.
-    let resume_threads = if threads > 1 { 1 } else { 2 };
-    let plan = FaultPlan::new(fault_seed, FaultRates::uniform(0.2));
-    let campaign = Campaign::new(VoltBootAttack::new("TP15").passes(3), plan, reps)
-        .retry(RetryPolicy { max_attempts: 3, initial_backoff_ns: 50_000_000 });
-
-    let uninterrupted = campaign.run(victim(die_seed)).to_json();
-
-    let path = std::env::temp_dir()
-        .join(format!("voltboot_resume_smoke_{}.checkpoint", std::process::id()));
-    if let Err(e) = campaign.run_partial_parallel(threads, kill_at, &path, victim(die_seed)) {
-        eprintln!("RESUME SMOKE FAIL: partial run did not checkpoint: {e}");
-        return 1;
-    }
-    let resumed = match campaign.resume_parallel(resume_threads, &path, victim(die_seed)) {
-        Ok(result) => result.to_json(),
-        Err(e) => {
-            eprintln!("RESUME SMOKE FAIL: resume from {}: {e}", path.display());
-            return 1;
-        }
-    };
-    let _ = std::fs::remove_file(&path);
-
-    if resumed != uninterrupted {
-        eprintln!(
-            "RESUME SMOKE FAIL: report killed at rep {kill_at} under {threads} threads and \
-             resumed under {resume_threads} differs from the uninterrupted run ({} vs {} bytes)",
-            resumed.len(),
-            uninterrupted.len()
-        );
-        return 1;
-    }
-    println!(
-        "resume smoke ok: killed at rep {kill_at}/{reps} under {threads} threads, resumed under \
-         {resume_threads}, report is byte-identical ({} bytes)",
-        resumed.len()
-    );
-    0
+    None
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -627,15 +508,15 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // An unknown flag must not fall through to the default sweep, which
+    // overwrites BENCH_campaign.json.
+    if let Some(arg) = unknown_argument(&args) {
+        eprintln!("campaign: unknown argument {arg:?}\n{USAGE}");
+        std::process::exit(2);
+    }
     let threads = parsed_flag(&args, "--threads").unwrap_or(1).max(1);
     if args.iter().any(|a| a == "--smoke") {
         std::process::exit(smoke(threads.max(2)));
-    }
-    if args.iter().any(|a| a == "--resume-smoke") {
-        std::process::exit(resume_smoke(threads));
-    }
-    if args.iter().any(|a| a == "--delta-smoke") {
-        std::process::exit(delta_smoke(threads.max(2)));
     }
     let cfg = SweepConfig {
         die_seed: voltboot_bench::seed(),
@@ -707,6 +588,26 @@ mod tests {
             .expect("report carries the nondeterministic marker");
         assert_eq!(prefix, format!("{deterministic}\n"));
         assert_eq!(trailer, "{\"threads\":4,\"elapsed_s\":1.5}\n");
+    }
+
+    #[test]
+    fn unknown_arguments_are_refused() {
+        let args =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        assert_eq!(unknown_argument(&args("--threads 2 --resume-smoke")), Some("--resume-smoke"));
+        assert_eq!(unknown_argument(&args("--reps 5 10")), Some("10"));
+        assert_eq!(unknown_argument(&args("--smoke --delta-smoke")), Some("--delta-smoke"));
+        assert_eq!(unknown_argument(&args("--threads 2 --smoke")), None);
+        assert_eq!(
+            unknown_argument(&args(
+                "--reps 3 --passes 3 --threads 2 --deadline-ns 9 --checkpoint cp --resume \
+                 --trace-out t --connect a:1 --reconnect --shards 2 --dashboard"
+            )),
+            None
+        );
+        // A value is taken as a value even when it looks like a flag.
+        assert_eq!(unknown_argument(&args("--trace-out --smoke")), None);
+        assert_eq!(unknown_argument(&[]), None);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! droop, brown-out faults — that pay a real resolve per cycle and are
 //! amortized. Nothing here opts in: the default `Batched` resolution
 //! mode promotes repeated conditions automatically, and the extracted
-//! images are byte-identical either way (CI-gated end to end by the
-//! campaign bench's `--delta-smoke`).
+//! images are byte-identical either way (checked end to end, trace
+//! exports included, by the `delta_campaign` integration test).
 
 use crate::error::AttackError;
 use crate::fault::{self, FaultPlan, StepFaults};

@@ -11,8 +11,9 @@
 //! *partial* outcome — the campaign never panics and never aborts early.
 //!
 //! Long campaigns can **checkpoint** after every repetition
-//! ([`Campaign::run_checkpointed`]) and **resume** from where they were
-//! killed ([`Campaign::resume`]): because the fault plan is counter-mode
+//! ([`Campaign::run_shard_parallel`] over [`ShardRange::whole`]) and
+//! **resume** from where they were killed
+//! ([`Campaign::resume_parallel`]): because the fault plan is counter-mode
 //! and the telemetry clock is virtual, a resumed campaign's final report
 //! is *byte-identical* to the uninterrupted run's. A per-repetition
 //! virtual-clock deadline ([`Campaign::deadline_ns`]) bounds how long a
@@ -756,63 +757,11 @@ impl Campaign {
         .expect("no checkpoint configured, no i/o to fail")
     }
 
-    /// [`Campaign::run`], writing a [`Checkpoint`] to `path` after every
-    /// completed repetition, so a killed campaign can
-    /// [`Campaign::resume`] without losing (or re-running) finished reps.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_checkpointed(
-        &self,
-        path: impl AsRef<Path>,
-        victim: impl FnMut(u64) -> Soc,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_range(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            victim,
-        )
-    }
-
-    /// Resumes a campaign from the checkpoint at `path` and runs it to
-    /// completion (checkpointing onward as it goes). The resumed run's
-    /// final report is byte-identical to what the uninterrupted run
-    /// would have produced: the fault plan is counter-mode (no stream
-    /// state to lose) and the checkpoint restores the full telemetry
-    /// state including the virtual clock.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Mismatch`] when the checkpoint's seed or rep
-    /// count disagrees with this campaign; [`CampaignError::Corrupt`] /
-    /// [`CampaignError::Io`] for unloadable checkpoints.
-    pub fn resume(
-        &self,
-        path: impl AsRef<Path>,
-        victim: impl FnMut(u64) -> Soc,
-    ) -> Result<CampaignResult, CampaignError> {
-        let cp = self.load_validated(path.as_ref())?;
-        self.run_range(
-            cp.shard,
-            cp.next_rep,
-            self.reps,
-            cp.records,
-            cp.recorder,
-            Some(path.as_ref()),
-            victim,
-        )
-    }
-
     /// Loads the checkpoint at `path` and validates it against this
-    /// campaign's configuration (shared by [`Campaign::resume`] and
-    /// [`Campaign::resume_parallel`]). Whole-campaign resume refuses a
-    /// shard checkpoint: a shard covers only its slice and must go
-    /// through [`Campaign::resume_shard_parallel`] / [`merge_shards`].
+    /// campaign's configuration (for [`Campaign::resume_parallel`]).
+    /// Whole-campaign resume refuses a shard checkpoint: a shard covers
+    /// only its slice and must go through
+    /// [`Campaign::resume_shard_parallel`] / [`merge_shards`].
     fn load_validated(&self, path: &Path) -> Result<Checkpoint, CampaignError> {
         let cp = self.load_validated_shard(path)?;
         if cp.shard != ShardRange::whole(self.reps) {
@@ -847,32 +796,6 @@ impl Campaign {
             });
         }
         Ok(cp)
-    }
-
-    /// Runs only repetitions `0..upto` and leaves the checkpoint behind
-    /// — an interrupted campaign in miniature, for tests and the CI
-    /// resume-determinism smoke check.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_partial(
-        &self,
-        upto: u64,
-        path: impl AsRef<Path>,
-        victim: impl FnMut(u64) -> Soc,
-    ) -> Result<(), CampaignError> {
-        let upto = upto.min(self.reps);
-        self.run_range(
-            ShardRange::whole(self.reps),
-            0,
-            upto,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            victim,
-        )
-        .map(|_| ())
     }
 
     /// The sequential runner: executes repetitions `start..end`,
@@ -937,34 +860,6 @@ impl Campaign {
         .expect("no checkpoint configured, no i/o to fail")
     }
 
-    /// [`Campaign::run_parallel`] with a [`Checkpoint`] written to
-    /// `path` every time the merged prefix grows, exactly as
-    /// [`Campaign::run_checkpointed`] writes one per completed rep.
-    /// Only fully-merged rep prefixes are ever checkpointed, so a
-    /// checkpoint written by an N-thread run resumes correctly under
-    /// any thread count — in-flight reps simply re-run.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_checkpointed_parallel(
-        &self,
-        threads: usize,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_range_parallel(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-    }
-
     /// Runs only the repetitions in `shard` — one process's slice of a
     /// campaign distributed across several processes — checkpointing to
     /// `path` with the shard-range header after every merged rep. The
@@ -978,6 +873,12 @@ impl Campaign {
     /// rep's draws depend only on its index) and every rep records into
     /// a fork of a fresh recorder, so a shard's merged telemetry equals
     /// the sequential recorder state for exactly those reps.
+    ///
+    /// Over [`ShardRange::whole`] this is the checkpointed whole
+    /// campaign, which [`Campaign::resume_parallel`] resumes after a
+    /// kill. Only fully-merged rep prefixes are ever checkpointed, so a
+    /// checkpoint written by an N-thread run resumes correctly under any
+    /// thread count — in-flight reps simply re-run.
     ///
     /// # Errors
     ///
@@ -1012,8 +913,8 @@ impl Campaign {
 
     /// Runs only the first `upto` repetitions *of the shard* (clamped
     /// to the shard's length) and leaves the checkpoint behind — a
-    /// shard process killed mid-range in miniature, for the supervised
-    /// dispatch retry tests and the crash-recovery smoke gate.
+    /// shard process killed mid-range in miniature, for the kill/resume
+    /// tests and the `shard` worker's crash hooks.
     ///
     /// # Errors
     ///
@@ -1053,7 +954,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// As [`Campaign::resume`], except a shard header is accepted.
+    /// As [`Campaign::resume_parallel`], except a shard header is
+    /// accepted.
     pub fn resume_shard_parallel(
         &self,
         threads: usize,
@@ -1073,14 +975,22 @@ impl Campaign {
         )
     }
 
-    /// [`Campaign::resume`] across `threads` workers. Checkpoints
-    /// compose across thread counts: the checkpoint stores only the
-    /// merged rep prefix plus the absorbed telemetry, which is the same
-    /// state the sequential runner would have at that rep.
+    /// Resumes a campaign from the checkpoint at `path` and runs it to
+    /// completion across `threads` workers, checkpointing onward as it
+    /// goes. The resumed run's final report is byte-identical to what
+    /// the uninterrupted run would have produced: the fault plan is
+    /// counter-mode (no stream state to lose) and the checkpoint
+    /// restores the full telemetry state including the virtual clock.
+    /// Checkpoints compose across thread counts: the checkpoint stores
+    /// only the merged rep prefix plus the absorbed telemetry, which is
+    /// the same state the sequential runner would have at that rep.
     ///
     /// # Errors
     ///
-    /// As [`Campaign::resume`].
+    /// [`CampaignError::Mismatch`] when the checkpoint's seed or rep
+    /// count disagrees with this campaign, or it covers only a shard;
+    /// [`CampaignError::Corrupt`] / [`CampaignError::Io`] for unloadable
+    /// checkpoints.
     pub fn resume_parallel(
         &self,
         threads: usize,
@@ -1098,34 +1008,6 @@ impl Campaign {
             threads,
             &victim,
         )
-    }
-
-    /// [`Campaign::run_partial`] across `threads` workers — runs only
-    /// repetitions `0..upto` and leaves the checkpoint behind, for the
-    /// cross-thread-count resume tests and CI smoke.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] when a checkpoint write fails.
-    pub fn run_partial_parallel(
-        &self,
-        threads: usize,
-        upto: u64,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<(), CampaignError> {
-        let upto = upto.min(self.reps);
-        self.run_range_parallel(
-            ShardRange::whole(self.reps),
-            0,
-            upto,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-        .map(|_| ())
     }
 
     /// The parallel scheduler behind the `*_parallel` entry points.

@@ -5,9 +5,9 @@
 
 use proptest::prelude::*;
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RetryPolicy};
+use voltboot::campaign::{Campaign, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
-use voltboot::telemetry::export;
+use voltboot::telemetry::{export, json, parse};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
 
@@ -58,7 +58,9 @@ proptest! {
     /// fork/absorb: at every thread count the span forest is
     /// well-formed (parents precede children, events sequence-ordered)
     /// and the histograms and all three export views match the
-    /// sequential run exactly.
+    /// sequential run exactly. The Chrome trace re-parses and carries
+    /// events (spans, instants or counters) from every instrumented
+    /// layer, and the waveform CSV holds samples.
     #[test]
     fn trace_tree_and_histograms_merge_deterministically(
         seed in any::<u64>(),
@@ -85,6 +87,23 @@ proptest! {
         let want_trace = export::chrome_trace(&seq).render_pretty();
         let want_folded = export::folded(&seq);
         let want_waves = export::waveforms_csv(&seq);
+        let doc = parse::parse(&want_trace);
+        prop_assert!(doc.is_ok(), "chrome trace does not re-parse: {:?}", doc.err());
+        let doc = doc.unwrap();
+        let events = doc.get("traceEvents").and_then(json::Value::as_array);
+        prop_assert!(events.is_some(), "chrome trace has no traceEvents array");
+        let names: Vec<&str> = events
+            .unwrap()
+            .iter()
+            .filter_map(|e| e.get("name").and_then(json::Value::as_str))
+            .collect();
+        for layer in ["pdn.", "sram.", "soc.", "attack.", "campaign."] {
+            prop_assert!(
+                names.iter().any(|n| n.starts_with(layer)),
+                "no {}* event among {} in the chrome trace", layer, names.len()
+            );
+        }
+        prop_assert!(want_waves.lines().count() >= 2, "waveform csv has no samples");
         for threads in [2usize, 4] {
             let par = campaign.run_parallel(threads, victim).recorder;
             prop_assert_eq!(
@@ -135,11 +154,11 @@ proptest! {
             std::process::id()
         ));
 
-        campaign.run_partial_parallel(4, k, &path, victim).unwrap();
+        campaign.run_shard_partial_parallel(4, ShardRange::whole(reps), k, &path, victim).unwrap();
         let resumed_seq = campaign.resume_parallel(1, &path, victim).unwrap().to_json();
         prop_assert_eq!(&resumed_seq, &want, "4-thread checkpoint, 1-thread resume");
 
-        campaign.run_partial_parallel(1, k, &path, victim).unwrap();
+        campaign.run_shard_partial_parallel(1, ShardRange::whole(reps), k, &path, victim).unwrap();
         let resumed_par = campaign.resume_parallel(4, &path, victim).unwrap().to_json();
         prop_assert_eq!(&resumed_par, &want, "1-thread checkpoint, 4-thread resume");
         std::fs::remove_file(&path).ok();

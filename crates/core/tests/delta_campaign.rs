@@ -9,14 +9,19 @@
 //! the baseline, later reps apply it. Brown-out faulted reps resolve
 //! under perturbed conditions (fresh keys) and fall back to the dense
 //! path — byte-identical either way is exactly the claim under test.
+//! A weak-probe leg compares the trace exports too, and repeats the
+//! sparse run with the metrics plane off.
 //!
-//! One `#[test]` fn: `delta::force_disable` is process-global state, so
-//! every phase that toggles it runs sequentially in here.
+//! One `#[test]` fn: `delta::force_disable` and `metrics::set_enabled`
+//! are process-global state, so every phase that toggles them runs
+//! sequentially in here.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{merge_shards, Campaign, RetryPolicy, ShardRange};
+use voltboot::campaign::{merge_shards, Campaign, CampaignResult, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
+use voltboot::telemetry::{export, metrics};
 use voltboot_armlite::program::builders;
+use voltboot_pdn::Probe;
 use voltboot_soc::{devices, Soc};
 use voltboot_sram::{clear_plane_cache, delta};
 
@@ -37,6 +42,24 @@ fn make(fault_seed: u64, reps: u64) -> Campaign {
     .retry(RetryPolicy { max_attempts: 2, initial_backoff_ns: 1_000_000 })
 }
 
+/// A result's report and its three trace exports, in that order.
+fn rendered(result: &CampaignResult) -> [String; 4] {
+    let rec = &result.recorder;
+    [
+        result.to_json(),
+        export::chrome_trace(rec).render_pretty(),
+        export::folded(rec),
+        export::waveforms_csv(rec),
+    ]
+}
+
+fn assert_same(got: &[String; 4], want: &[String; 4], what: &str) {
+    let views = ["report", "chrome trace", "folded stacks", "rail waveforms"];
+    for ((view, got), want) in views.iter().zip(got).zip(want) {
+        assert!(got == want, "{what}: {view} differs ({} vs {} bytes)", got.len(), want.len());
+    }
+}
+
 fn temp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir()
         .join(format!("voltboot_test_delta_{tag}_{}.checkpoint", std::process::id()))
@@ -54,9 +77,9 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
     clear_plane_cache();
     let want = campaign.run(victim).to_json();
     let p_off = temp("off");
-    campaign.run_partial(3, &p_off, victim).unwrap();
+    campaign.run_shard_partial_parallel(1, ShardRange::whole(6), 3, &p_off, victim).unwrap();
     let want_cp = std::fs::read_to_string(&p_off).unwrap();
-    let resumed_off = campaign.resume(&p_off, victim).unwrap().to_json();
+    let resumed_off = campaign.resume_parallel(1, &p_off, victim).unwrap().to_json();
     assert_eq!(resumed_off, want, "dense kill/resume must reproduce the dense report");
 
     // ---- Delta on: every execution shape must byte-match. ----
@@ -75,7 +98,7 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
     // Kill at rep 3, byte-compare the checkpoint itself, then resume
     // under a different thread count.
     let p_on = temp("on");
-    campaign.run_partial(3, &p_on, victim).unwrap();
+    campaign.run_shard_partial_parallel(1, ShardRange::whole(6), 3, &p_on, victim).unwrap();
     let got_cp = std::fs::read_to_string(&p_on).unwrap();
     assert_eq!(got_cp, want_cp, "delta-path checkpoint must byte-match the dense checkpoint");
     let resumed_on = campaign.resume_parallel(2, &p_on, victim).unwrap().to_json();
@@ -93,4 +116,30 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
     for p in [p_off, p_on, lo, hi] {
         std::fs::remove_file(p).ok();
     }
+
+    // ---- Weak probe (the paper's droop failure mode) on the same die:
+    // the report and all three trace exports must match dense. ----
+    let weak = Campaign::new(
+        VoltBootAttack::new("TP15").passes(3).probe(Probe::weak_source(0.0, 0.2)),
+        FaultPlan::new(77, FaultRates::uniform(0.2)),
+        6,
+    )
+    .retry(RetryPolicy { max_attempts: 3, initial_backoff_ns: 50_000_000 });
+    delta::force_disable(true);
+    clear_plane_cache();
+    let dense = rendered(&weak.run_parallel(2, victim));
+    delta::force_disable(false);
+    clear_plane_cache();
+    let before = delta::stats().delta_reps;
+    let sparse = rendered(&weak.run_parallel(2, victim));
+    assert!(delta::stats().delta_reps > before, "the weak-probe sweep must ride the delta path");
+    assert_same(&sparse, &dense, "weak probe, delta against dense");
+
+    // The wall-clock metrics plane is out of band: freezing it moves no
+    // byte of the report or of any trace export.
+    metrics::set_enabled(false);
+    clear_plane_cache();
+    let frozen = rendered(&weak.run_parallel(2, victim));
+    metrics::set_enabled(true);
+    assert_same(&frozen, &sparse, "weak probe, metrics plane off against on");
 }

@@ -2,7 +2,7 @@
 //! glitches, retries, and telemetry — and bit-identity without them.
 
 use voltboot::attack::{AttackContext, VoltBootAttack};
-use voltboot::campaign::{Campaign, CampaignError, RepStatus, RetryPolicy};
+use voltboot::campaign::{Campaign, CampaignError, RepStatus, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates, StepFaults};
 use voltboot::telemetry::Recorder;
 use voltboot_armlite::program::builders;
@@ -211,13 +211,13 @@ fn killed_campaign_resumes_to_byte_identical_report() {
     // "Kill" the campaign after rep 2, then resume from the checkpoint.
     let path = std::env::temp_dir()
         .join(format!("voltboot_test_resume_{}.checkpoint", std::process::id()));
-    make(7).run_partial(2, &path, victim).unwrap();
-    let resumed = make(7).resume(&path, victim).unwrap().to_json();
+    make(7).run_shard_partial_parallel(1, ShardRange::whole(5), 2, &path, victim).unwrap();
+    let resumed = make(7).resume_parallel(1, &path, victim).unwrap().to_json();
     assert_eq!(resumed, uninterrupted, "resumed report must be byte-identical");
 
     // A campaign built around a different fault plan must refuse the
     // checkpoint rather than splice incompatible histories.
-    let err = make(8).resume(&path, victim).unwrap_err();
+    let err = make(8).resume_parallel(1, &path, victim).unwrap_err();
     assert!(matches!(err, CampaignError::Mismatch { .. }), "got {err:?}");
     std::fs::remove_file(&path).ok();
 }

@@ -10,7 +10,7 @@
 //! than racing other tests' observations.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RetryPolicy};
+use voltboot::campaign::{Campaign, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -52,9 +52,11 @@ fn deterministic_surface(tag: &str) -> Vec<String> {
     let waves = export::waveforms_csv(&result.recorder);
 
     let path = checkpoint_path(tag);
-    campaign.run_partial(3, &path, victim).expect("partial run");
+    campaign
+        .run_shard_partial_parallel(1, ShardRange::whole(5), 3, &path, victim)
+        .expect("partial run");
     let checkpoint = std::fs::read_to_string(&path).expect("read checkpoint");
-    let resumed = campaign.resume(&path, victim).expect("resume").to_json();
+    let resumed = campaign.resume_parallel(1, &path, victim).expect("resume").to_json();
     std::fs::remove_file(&path).ok();
 
     let parallel = campaign.run_parallel(4, victim).to_json();

@@ -7,7 +7,7 @@
 //! `campaign_props.rs`; these run everywhere.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, CampaignError, RetryPolicy};
+use voltboot::campaign::{Campaign, CampaignError, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -51,9 +51,11 @@ fn parallel_checkpoints_are_byte_identical_to_sequential() {
     let p_seq = temp("seq");
     let p_par = temp("par");
 
-    let seq = campaign.run_checkpointed(&p_seq, victim).unwrap().to_json();
+    let seq =
+        campaign.run_shard_parallel(1, ShardRange::whole(4), &p_seq, victim).unwrap().to_json();
     let cp_seq = std::fs::read_to_string(&p_seq).unwrap();
-    let par = campaign.run_checkpointed_parallel(4, &p_par, victim).unwrap().to_json();
+    let par =
+        campaign.run_shard_parallel(4, ShardRange::whole(4), &p_par, victim).unwrap().to_json();
     let cp_par = std::fs::read_to_string(&p_par).unwrap();
 
     assert_eq!(par, seq, "checkpointed parallel report must match sequential");
@@ -70,12 +72,12 @@ fn checkpoints_resume_across_thread_counts() {
     let path = temp("cross");
 
     // Killed at rep 2 by a 4-thread run, resumed sequentially.
-    campaign.run_partial_parallel(4, 2, &path, victim).unwrap();
-    let a = campaign.resume(&path, victim).unwrap().to_json();
+    campaign.run_shard_partial_parallel(4, ShardRange::whole(4), 2, &path, victim).unwrap();
+    let a = campaign.resume_parallel(1, &path, victim).unwrap().to_json();
     assert_eq!(a, want, "4-thread checkpoint must resume sequentially with no drift");
 
     // Killed at rep 2 by a sequential run, resumed with 4 threads.
-    campaign.run_partial(2, &path, victim).unwrap();
+    campaign.run_shard_partial_parallel(1, ShardRange::whole(4), 2, &path, victim).unwrap();
     let b = campaign.resume_parallel(4, &path, victim).unwrap().to_json();
     assert_eq!(b, want, "sequential checkpoint must resume under 4 threads with no drift");
 

@@ -85,7 +85,8 @@ fn merge_rejects_gaps_overlaps_and_incomplete_shards() {
     // A shard killed mid-range must be resumed before merging.
     let partial = temp("val_partial");
     let mid = temp("val_mid");
-    campaign.run_partial(1, &partial, victim).unwrap(); // whole-range header, next_rep = 1
+    // Whole-range header, next_rep = 1.
+    campaign.run_shard_partial_parallel(1, ShardRange::whole(6), 1, &partial, victim).unwrap();
     campaign.run_shard_parallel(1, ShardRange { start: 2, end: 4 }, &mid, victim).unwrap();
     assert!(matches!(merge_shards(&[&partial]), Err(CampaignError::Mismatch { .. })));
 

@@ -1,6 +1,6 @@
 //! Caller-side stub for the daemon's line protocol — used by the
-//! bench sweep binary's `--connect` mode and by the server's own
-//! smoke gates.
+//! bench sweep binary's `--connect` mode and by the server's
+//! integration tests.
 //!
 //! Transport failures (connection refused, reset, timeout, a torn
 //! payload) are classified *transient*; protocol `ERR` replies and

@@ -11,9 +11,9 @@
 //! splits the work three ways:
 //!
 //! * **In-process parallelism** — each job runs through
-//!   [`voltboot::campaign::Campaign::run_checkpointed_parallel`], the
-//!   rep-order merging scheduler whose reports are byte-identical at
-//!   any thread count.
+//!   [`voltboot::campaign::Campaign::run_shard_parallel`] over the
+//!   whole rep range, the rep-order merging scheduler whose reports
+//!   are byte-identical at any thread count.
 //! * **Cross-process sharding** — the `shard` subcommand runs one rep
 //!   range `[start, end)` into a checkpoint whose header records the
 //!   range; [`voltboot::campaign::merge_shards`] recombines a complete

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use voltboot::campaign::Checkpoint;
+use voltboot::campaign::{Checkpoint, ShardRange};
 use voltboot_telemetry::metrics::{self, Counter, Gauge, LatencyHist, MetricsRegistry};
 use voltboot_telemetry::Progress;
 
@@ -911,7 +911,12 @@ fn run_in_process(
     let result = if resume {
         campaign.resume_shard_parallel(spec.threads, &checkpoint, spec.victim())
     } else {
-        campaign.run_checkpointed_parallel(spec.threads, &checkpoint, spec.victim())
+        campaign.run_shard_parallel(
+            spec.threads,
+            ShardRange::whole(spec.reps),
+            &checkpoint,
+            spec.victim(),
+        )
     };
     let result = result.map_err(|e| sanitize(&e.to_string()))?;
     std::fs::remove_file(&checkpoint).ok();

@@ -287,8 +287,10 @@ fn supervise_shard(
         // worker's last staleness as a live problem.
         gauges.heartbeat_age_ms.set(0.0);
 
+        // The worker may have advanced and exited between two polls.
         if let Some(next) = peek_next_rep(path) {
             credit(progress, &mut reported, range, next);
+            gauges.next_rep.set(next as f64);
         }
         if exited_ok {
             // Trust but verify: exit 0 must come with a complete, valid

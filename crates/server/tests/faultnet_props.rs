@@ -101,9 +101,17 @@ fn jobs_terminate_and_reports_are_byte_identical_through_a_faulty_network() {
         std::thread::sleep(Duration::from_millis(25));
     }
 
-    // The schedule actually fired.
+    // The schedule actually fired, and the proxy's connections reach
+    // the daemon's metrics plane.
     let stats = proxy.stats();
     assert!(stats.connections.load(Ordering::Relaxed) >= 2);
+    let text = registry.render_metrics();
+    let exported = text
+        .lines()
+        .find_map(|l| l.strip_prefix("voltboot_faultnet_connections_total "))
+        .and_then(|v| v.parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("no faultnet connection counter in:\n{text}"));
+    assert!(exported >= 1.0, "the proxy carried traffic but exported {exported} connections");
     assert!(
         stats.cuts.load(Ordering::Relaxed) + stats.stalls.load(Ordering::Relaxed) >= 1,
         "the fault schedule was tuned to fire at least once"

@@ -172,8 +172,9 @@ fn metrics_exposition_spans_layers_and_counters_are_monotone() {
     // Families spanning the whole service path. The acceptance bar is
     // >= 6 families across server/journal/supervisor/faultnet/sram;
     // the supervisor and faultnet families only have cells once those
-    // layers run (covered by the metrics-smoke gate), so here we pin
-    // the always-on layers plus the core and sram re-exports.
+    // layers run (`supervised.rs` checks the per-shard gauges and
+    // `faultnet_props.rs` the proxy's connection counter), so here we
+    // pin the always-on layers plus the core and sram re-exports.
     for family in [
         "# TYPE voltboot_server_connections_total counter",
         "# TYPE voltboot_server_connections_active gauge",

@@ -29,6 +29,11 @@ fn wait_terminal(registry: &Arc<Registry>, id: u64) -> JobState {
     }
 }
 
+/// A sample's value in a text exposition, by exact line prefix.
+fn sample(text: &str, prefix: &str) -> Option<f64> {
+    text.lines().find(|l| l.starts_with(prefix)).and_then(|l| l.rsplit(' ').next()?.parse().ok())
+}
+
 #[test]
 fn supervised_shards_report_byte_identical_to_sequential() {
     let dir = state_dir("happy");
@@ -61,6 +66,20 @@ fn supervised_shards_report_byte_identical_to_sequential() {
 
     let report = registry.report(id).expect("job exists").expect("done").expect("report");
     assert_eq!(report, reference, "merged shard-worker report must byte-match the sequential run");
+
+    // Each shard has its own progress and heartbeat gauges. A finished
+    // shard's progress gauge sits at the end of its range; the heartbeat
+    // age is parked at 0 once no worker is being watched.
+    let text = registry.render_metrics();
+    for (k, end) in [(0, 2.0), (1, 4.0)] {
+        let labels = format!("{{job=\"{id}\",shard=\"{k}\"}} ");
+        let next = sample(&text, &format!("voltboot_supervisor_shard_next_rep{labels}"))
+            .unwrap_or_else(|| panic!("no next-rep gauge for shard {k}:\n{text}"));
+        assert_eq!(next, end, "shard {k}'s next-rep gauge must reach the end of its range");
+        let age = sample(&text, &format!("voltboot_supervisor_heartbeat_age_ms{labels}"))
+            .unwrap_or_else(|| panic!("no heartbeat-age gauge for shard {k}:\n{text}"));
+        assert_eq!(age, 0.0, "shard {k}'s heartbeat age must be parked after its worker exits");
+    }
 
     // Success must clean up the per-shard checkpoints.
     for k in 0..2 {

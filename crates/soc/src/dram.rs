@@ -86,9 +86,9 @@ impl Dram {
     }
 
     /// How many 4 KiB pages hold allocated cells: those written or
-    /// filled into a cache line so far, plus those a full settle found
-    /// decay pending on. Every other page reads as zeros with decay
-    /// applied.
+    /// filled into a cache line so far, plus the unwritten pages a full
+    /// settle left with charged cells. Every other page reads as zeros
+    /// with decay applied.
     pub fn allocated_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
@@ -175,14 +175,29 @@ impl Dram {
     }
 
     /// Applies every queued step to every page that has not absorbed it,
-    /// allocating those pages, and empties the queue, returning how many
-    /// bits flipped. A page with nothing pending stays as it is,
-    /// allocated or not.
+    /// and empties the queue, returning how many bits flipped. An
+    /// unwritten page settles in a scratch buffer and is allocated only
+    /// if decay charged one of its cells. A page with nothing pending
+    /// stays as it is, allocated or not.
     pub(crate) fn settle_all(&mut self) -> usize {
         let mut flipped = 0;
+        let mut scratch = [0u8; PAGE_BYTES];
         for page in 0..self.pages.len() {
-            if usize::from(self.absorbed[page]) < self.decay.len() {
+            let from = usize::from(self.absorbed[page]);
+            if from == self.decay.len() {
+                continue;
+            }
+            if self.pages[page].is_some() {
                 flipped += self.settle_page(page).1;
+                continue;
+            }
+            let start = page * PAGE_BYTES;
+            let cells = &mut scratch[..PAGE_BYTES.min(self.len - start)];
+            cells.fill(0);
+            flipped +=
+                self.decay[from..].iter().map(|step| step.apply(cells, start)).sum::<usize>();
+            if cells.iter().any(|&b| b != 0) {
+                self.pages[page] = Some(cells.into());
             }
         }
         self.decay.clear();
@@ -372,8 +387,16 @@ mod tests {
             lazy.settle_all();
             prop_assert!(lazy.decay.is_empty());
             for (page, cells) in lazy.pages.iter().enumerate() {
-                // A full settle allocates exactly the pages with pending steps.
-                prop_assert_eq!(cells.is_some(), allocated[page] || pending[page], "page {}", page);
+                // A full settle allocates exactly the unwritten pages that
+                // had pending steps and settled to non-zero cells.
+                let (lo, hi) = clip(page, 0, size);
+                let charged = lazy.raw_cells(lo as u64, hi - lo).unwrap().iter().any(|&b| b != 0);
+                prop_assert_eq!(
+                    cells.is_some(),
+                    allocated[page] || (pending[page] && charged),
+                    "page {}",
+                    page
+                );
             }
             prop_assert_eq!(lazy.raw_cells(0, size).unwrap(), eager.raw_cells(0, size).unwrap());
         }
@@ -449,10 +472,11 @@ mod tests {
         let mut line = [0u8; 64];
         d.read_line(64, &mut line).unwrap();
         assert_eq!(d.allocated_pages(), 2, "a line fill allocates its page");
-        // A full settle allocates only the pages that still owe a step:
-        // 1, 2 and 4. Only the anti-cell page 1 holds charged cells.
+        // Pages 1, 2 and 4 still owe a step. A full settle allocates
+        // only the anti-cell page 1, the one whose cells it charges.
         assert_eq!(d.settle_all(), 8 * PAGE_BYTES);
-        assert_eq!(d.allocated_pages(), 5);
+        assert_eq!(d.allocated_pages(), 3);
+        assert!(d.pages[1].is_some() && d.pages[2].is_none() && d.pages[4].is_none());
         let mut fresh = Dram::new(4 * PAGE_BYTES);
         assert_eq!(fresh.settle_all(), 0);
         assert_eq!(fresh.allocated_pages(), 0, "nothing pending, nothing allocated");

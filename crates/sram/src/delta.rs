@@ -159,8 +159,8 @@ pub fn enabled() -> bool {
 
 /// Forces the delta path off (`true`) or back to the default (`false`)
 /// process-wide. The `VOLTBOOT_NO_DELTA` environment hatch wins over
-/// re-enabling. Used by the `delta-smoke` gate to byte-compare
-/// forced-off and forced-on campaign runs in one process.
+/// re-enabling. Used by the `delta_campaign` integration test to
+/// byte-compare forced-off and forced-on campaign runs in one process.
 pub fn force_disable(off: bool) {
     FORCE_OFF.store(off, Ordering::Relaxed);
 }
