@@ -20,11 +20,11 @@
 //! (`voltboot_sram::delta`): the first repetitions of a
 //! `(die, treatment)` pair resolve densely and settle a baseline,
 //! after which each repetition re-resolves only the cells the
-//! treatment actually disturbs. A cleanly held rail never even gets
-//! that far (full retention takes the certainly-retained shortcut past
-//! batch resolution); it is the partial-corruption treatments — probe
-//! droop, brown-out faults — that pay a real resolve per cycle and are
-//! amortized. Nothing here opts in: the default `Batched` resolution
+//! treatment actually disturbs. A cleanly held rail and a total loss
+//! never get that far (a power-on that keeps or loses every cell
+//! resolves nothing); it is the partial-loss treatments — a probe
+//! droop into the DRV range, brown-out faults — that pay a real resolve
+//! per cycle and are amortized. Nothing here opts in: the default `Batched` resolution
 //! mode promotes repeated conditions automatically, and the extracted
 //! images are byte-identical either way (checked end to end, trace
 //! exports included, by the `delta_campaign` integration test).
@@ -115,7 +115,7 @@ impl ExtractedImage {
 
     /// Builds an image from bits whose CRC was already computed in the
     /// same pass that produced them (e.g.
-    /// [`recover::vote_owned_sealed`]), skipping the re-hash
+    /// [`recover::vote_sealed_draining`]), skipping the re-hash
     /// [`ExtractedImage::new`] would do. The caller vouches that
     /// `crc64 == crc64_bits(&bits)`; debug builds verify it.
     pub fn from_sealed(source: impl Into<String>, bits: PackedBits, crc64: u64) -> Self {
@@ -641,9 +641,9 @@ impl VoltBootAttack {
     /// The voted multi-pass readout: cross-check every unit over its
     /// first two surviving passes, selectively re-read only the units
     /// whose CRCs disagree, and resolve disagreements by per-bit
-    /// majority vote ([`recover::vote_owned`]) with dropped passes as
-    /// erasures. The vote consumes the per-unit dumps, so no pass
-    /// buffer is ever copied.
+    /// majority vote ([`recover::vote_sealed_draining`]) with dropped
+    /// passes as erasures. The vote consumes the per-unit dumps, so no
+    /// pass buffer is ever copied.
     fn extract_voted(
         &self,
         soc: &Soc,

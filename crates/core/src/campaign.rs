@@ -32,7 +32,11 @@
 //! keeping the report and every checkpoint byte-identical to the
 //! sequential run's for any thread count.
 //!
-//! Million-rep sweeps get their throughput from the SRAM engine's
+//! Million-rep sweeps get their throughput from the SRAM engine. A
+//! treatment that keeps or loses every cell resolves nothing: a clean
+//! hold changes no cell, and a total loss (an unheld cycle, a probe
+//! that droops below every cell's DRV) owes each array its power-up
+//! sample. A partial loss (a probe droop into the DRV range) rides the
 //! rep-delta path: the first repetitions against a die resolve densely
 //! and settle a per-`(die, treatment)` baseline, after which each
 //! worker's repetitions re-resolve only the disturbed cells through a
@@ -51,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use voltboot_soc::Soc;
 use voltboot_sram::par;
-use voltboot_telemetry::{json, parse, Progress, Recorder};
+use voltboot_telemetry::{json, parse, Recorder};
 
 /// Retry behaviour for failed attack attempts within one repetition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -690,7 +694,7 @@ pub struct Campaign {
     reps: u64,
     retry: RetryPolicy,
     deadline_ns: Option<u64>,
-    progress: Option<Arc<Progress>>,
+    progress: Option<Arc<AtomicU64>>,
 }
 
 impl Campaign {
@@ -721,19 +725,19 @@ impl Campaign {
         self
     }
 
-    /// Attaches a live progress tracker: the runner bumps `done` by one
-    /// for every completed (sequential) or merged (parallel) repetition.
-    /// The tracker is lock-free and advisory — it feeds progress lines,
-    /// never reports — so observing a campaign cannot perturb its
+    /// Attaches a live progress counter: the runner adds one for every
+    /// completed (sequential) or merged (parallel) repetition. The
+    /// counter is a relaxed atomic and advisory — it feeds progress
+    /// lines, never reports — so observing a campaign cannot perturb its
     /// deterministic output.
-    pub fn observe(mut self, progress: Arc<Progress>) -> Self {
+    pub fn observe(mut self, progress: Arc<AtomicU64>) -> Self {
         self.progress = Some(progress);
         self
     }
 
     fn note_rep_done(&self) {
         if let Some(p) = &self.progress {
-            p.add_done(1);
+            p.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -274,49 +274,30 @@ pub fn vote(passes: &[Option<&PackedBits>]) -> Result<(PackedBits, ConfidenceMap
     Ok((resolved, conf))
 }
 
-/// [`vote`] over owned passes: consumes the buffers and resolves *into*
-/// the first available pass instead of cloning it. Semantics (erasures,
-/// ties, errors, confidence accounting) are identical to [`vote`] —
-/// this is the zero-copy entry point for the multi-pass readout hot
-/// path, where every pass is a fresh megabit dump nobody needs
-/// afterwards.
-pub fn vote_owned(
-    passes: Vec<Option<PackedBits>>,
-) -> Result<(PackedBits, ConfidenceMap), IntegrityError> {
-    let (resolved, conf, _crc) = vote_owned_sealed(passes)?;
-    Ok((resolved, conf))
-}
-
-/// [`vote_owned`], additionally returning the [`crc64_bits`] seal of
-/// the resolved image.
+/// [`vote`] over a reusable pass slice, additionally returning the
+/// [`crc64_bits`] seal of the resolved image. Semantics (erasures,
+/// ties, errors, confidence accounting) are identical to [`vote`], but
+/// it takes the first available pass *out* of `passes` (its slot
+/// becomes `None`) and resolves *into* it instead of cloning it, and
+/// votes the remaining entries in place, leaving them behind for the
+/// caller to recycle. This is the steady-state entry point for
+/// campaign-scale voted readout: the caller keeps one
+/// `Vec<Option<PackedBits>>` alive across readout units, refills it
+/// each unit, and returns the leftover pass buffers to the
+/// [rep arena](voltboot_sram::par) — nothing in the loop allocates once
+/// the arena is warm.
 ///
 /// The CRC is accumulated *inside* the vote's word loop, from the
 /// resolved words as they are written — the majority planes, the
 /// confidence counters, and the integrity seal all ride one pass over
 /// the image instead of the vote being followed by a second full sweep
-/// just to checksum its output. Identical to calling [`vote_owned`]
-/// and then [`crc64_bits`] on the result, for one table-step per word
-/// less memory traffic.
-pub fn vote_owned_sealed(
-    mut passes: Vec<Option<PackedBits>>,
-) -> Result<(PackedBits, ConfidenceMap, u64), IntegrityError> {
-    vote_sealed_draining(&mut passes)
-}
-
-/// [`vote_owned_sealed`] over a reusable pass slice: takes the first
-/// available pass *out* of `passes` (its slot becomes `None`) and votes
-/// the remaining entries in place, leaving them behind for the caller
-/// to recycle. This is the steady-state entry point for campaign-scale
-/// voted readout: the caller keeps one `Vec<Option<PackedBits>>` alive
-/// across readout units, refills it each unit, and returns the
-/// leftover pass buffers to the [rep arena](voltboot_sram::par) —
-/// nothing in the loop allocates once the arena is warm.
+/// just to checksum its output.
 ///
 /// # Errors
 ///
-/// Same classes as [`vote_owned_sealed`]; on error `passes` keeps all
-/// its entries except the first available one, which a length-mismatch
-/// error has already consumed into the failed resolution attempt.
+/// Same classes as [`vote`]; on error `passes` keeps all its entries
+/// except the first available one, which a length-mismatch error has
+/// already consumed into the failed resolution attempt.
 pub fn vote_sealed_draining(
     passes: &mut [Option<PackedBits>],
 ) -> Result<(PackedBits, ConfidenceMap, u64), IntegrityError> {
@@ -600,19 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn vote_owned_matches_borrowed_vote() {
-        let good = bits_of(&[true, false, true, false, true, true, false, false, true]);
-        let mut bad = good.clone();
-        bad.set(0, false);
-        bad.set(5, false);
-        let (want, want_conf) = vote(&[None, Some(&bad), Some(&good), Some(&good)]).unwrap();
-        let (got, got_conf) =
-            vote_owned(vec![None, Some(bad), Some(good.clone()), Some(good)]).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(got_conf, want_conf);
-    }
-
-    #[test]
     fn sealed_vote_crc_matches_post_hoc_seal() {
         // The CRC fused into the vote loop must equal crc64_bits of the
         // resolved image, across word-boundary and tail-byte lengths
@@ -624,13 +592,13 @@ mod tests {
             }
             let mut bad = good.clone();
             bad.set(len / 2, !bad.get(len / 2));
-            let (resolved, conf, crc) =
-                vote_owned_sealed(vec![Some(bad), Some(good.clone()), Some(good.clone())]).unwrap();
+            let mut passes = [Some(bad), Some(good.clone()), Some(good.clone())];
+            let (resolved, conf, crc) = vote_sealed_draining(&mut passes).unwrap();
             assert_eq!(resolved, good, "len {len}");
             assert_eq!(crc, crc64_bits(&resolved), "fused seal must match, len {len}");
             assert_eq!(conf.votes, 3);
             let (single, single_conf, single_crc) =
-                vote_owned_sealed(vec![None, Some(good.clone())]).unwrap();
+                vote_sealed_draining(&mut [None, Some(good.clone())]).unwrap();
             assert_eq!(single_crc, crc64_bits(&single), "single-pass seal, len {len}");
             assert_eq!(single_conf.unanimous, len as u64);
         }
@@ -656,13 +624,20 @@ mod tests {
 
     #[test]
     fn vote_owned_rejects_the_same_degenerate_inputs() {
-        assert_eq!(vote_owned(vec![None, None]).unwrap_err(), IntegrityError::AllPassesErased);
+        assert_eq!(
+            vote_sealed_draining(&mut [None, None]).unwrap_err(),
+            IntegrityError::AllPassesErased
+        );
         assert!(matches!(
-            vote_owned(vec![Some(PackedBits::zeros(8)), Some(PackedBits::zeros(16))]).unwrap_err(),
+            vote_sealed_draining(&mut [Some(PackedBits::zeros(8)), Some(PackedBits::zeros(16))])
+                .unwrap_err(),
             IntegrityError::LengthMismatch { expected: 8, actual: 16 }
         ));
-        let passes: Vec<Option<PackedBits>> = vec![Some(PackedBits::zeros(4)); 16];
-        assert!(matches!(vote_owned(passes), Err(IntegrityError::TooManyPasses { requested: 16 })));
+        let mut passes: Vec<Option<PackedBits>> = vec![Some(PackedBits::zeros(4)); 16];
+        assert!(matches!(
+            vote_sealed_draining(&mut passes),
+            Err(IntegrityError::TooManyPasses { requested: 16 })
+        ));
     }
 
     #[test]

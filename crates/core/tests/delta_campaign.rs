@@ -5,12 +5,16 @@
 //! across shard merges — with fault injection enabled throughout.
 //!
 //! The victim pins one die seed across reps (the million-rep sweep
-//! shape): rep 1 resolves dense and notes the condition, rep 2 settles
+//! shape), and a current-limited bench supply droops its core rail
+//! into the DRV range, so every rep loses part of each core-rail
+//! array: rep 1 resolves dense and notes the condition, rep 2 settles
 //! the baseline, later reps apply it. Brown-out faulted reps resolve
 //! under perturbed conditions (fresh keys) and fall back to the dense
 //! path — byte-identical either way is exactly the claim under test.
-//! A weak-probe leg compares the trace exports too, and repeats the
-//! sparse run with the metrics plane off.
+//! A second leg compares the trace exports too, and repeats the sparse
+//! run with the metrics plane off. Campaign reports carry no image
+//! bytes, so a last leg attacks fresh boards of the die directly and
+//! compares every extracted image with the path off and on.
 //!
 //! One `#[test]` fn: `delta::force_disable` and `metrics::set_enabled`
 //! are process-global state, so every phase that toggles them runs
@@ -19,10 +23,12 @@
 use voltboot::attack::VoltBootAttack;
 use voltboot::campaign::{merge_shards, Campaign, CampaignResult, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
+use voltboot::recover::crc64_bits;
 use voltboot::telemetry::{export, metrics};
 use voltboot_armlite::program::builders;
 use voltboot_pdn::Probe;
 use voltboot_soc::{devices, Soc};
+use voltboot_sram::cell::CellDistribution;
 use voltboot_sram::{clear_plane_cache, delta};
 
 fn prepared_pi4(seed: u64) -> Soc {
@@ -33,9 +39,20 @@ fn prepared_pi4(seed: u64) -> Soc {
     soc
 }
 
+/// The campaign's die: every campaign rep and every direct attack
+/// below runs on a board of this one seed.
+const DIE: u64 = 0xD1E_C0DE;
+
+/// A probe whose 1 A limit lets the disconnect surge droop TP15 to
+/// ≈0.28 V: inside the DRV range, so each core-rail array loses some of
+/// its cells (about two thirds of core 0's L1D) and keeps the rest.
+fn drooping_probe() -> Probe {
+    Probe::bench_supply(0.0, 1.0)
+}
+
 fn make(fault_seed: u64, reps: u64) -> Campaign {
     Campaign::new(
-        VoltBootAttack::new("TP15").passes(3),
+        VoltBootAttack::new("TP15").passes(3).probe(drooping_probe()),
         FaultPlan::new(fault_seed, FaultRates::uniform(0.25)),
         reps,
     )
@@ -70,7 +87,7 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
     let campaign = make(77, 6);
     // One physical die across all reps — the sweep shape the delta path
     // exists for.
-    let victim = |_rep: u64| prepared_pi4(0xD1E_C0DE);
+    let victim = |_rep: u64| prepared_pi4(DIE);
 
     // ---- Dense references, delta forced off. ----
     delta::force_disable(true);
@@ -117,29 +134,58 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
         std::fs::remove_file(p).ok();
     }
 
-    // ---- Weak probe (the paper's droop failure mode) on the same die:
-    // the report and all three trace exports must match dense. ----
-    let weak = Campaign::new(
-        VoltBootAttack::new("TP15").passes(3).probe(Probe::weak_source(0.0, 0.2)),
+    // ---- The same die under another fault plan and retry policy: the
+    // report and all three trace exports must match dense. ----
+    let traced = Campaign::new(
+        VoltBootAttack::new("TP15").passes(3).probe(drooping_probe()),
         FaultPlan::new(77, FaultRates::uniform(0.2)),
         6,
     )
     .retry(RetryPolicy { max_attempts: 3, initial_backoff_ns: 50_000_000 });
     delta::force_disable(true);
     clear_plane_cache();
-    let dense = rendered(&weak.run_parallel(2, victim));
+    let dense = rendered(&traced.run_parallel(2, victim));
     delta::force_disable(false);
     clear_plane_cache();
     let before = delta::stats().delta_reps;
-    let sparse = rendered(&weak.run_parallel(2, victim));
-    assert!(delta::stats().delta_reps > before, "the weak-probe sweep must ride the delta path");
-    assert_same(&sparse, &dense, "weak probe, delta against dense");
+    let sparse = rendered(&traced.run_parallel(2, victim));
+    assert!(delta::stats().delta_reps > before, "the traced sweep must ride the delta path");
+    assert_same(&sparse, &dense, "traced sweep, delta against dense");
 
     // The wall-clock metrics plane is out of band: freezing it moves no
     // byte of the report or of any trace export.
     metrics::set_enabled(false);
     clear_plane_cache();
-    let frozen = rendered(&weak.run_parallel(2, victim));
+    let frozen = rendered(&traced.run_parallel(2, victim));
     metrics::set_enabled(true);
-    assert_same(&frozen, &sparse, "weak probe, metrics plane off against on");
+    assert_same(&frozen, &sparse, "traced sweep, metrics plane off against on");
+
+    // ---- Every extracted image, dense against sparse: fault-free
+    // attacks on fresh boards of the die. The first attack notes the
+    // condition, the second settles its baselines, later ones apply
+    // them. ----
+    let attack = VoltBootAttack::new("TP15").passes(3).probe(drooping_probe());
+    let drv = CellDistribution::calibrated();
+    let images = || -> Vec<Vec<(String, u64)>> {
+        (0..4)
+            .map(|_| {
+                let outcome = attack.execute(&mut prepared_pi4(DIE)).unwrap();
+                let droop = outcome.transient_min_voltage.unwrap();
+                assert!(drv.drv_min < droop && droop < drv.drv_max, "TP15 drooped to {droop} V");
+                outcome.images.iter().map(|i| (i.source.clone(), crc64_bits(&i.bits))).collect()
+            })
+            .collect()
+    };
+    delta::force_disable(true);
+    clear_plane_cache();
+    let dense = images();
+    delta::force_disable(false);
+    clear_plane_cache();
+    let before = delta::stats().delta_reps;
+    let sparse = images();
+    assert!(delta::stats().delta_reps > before, "the attacks must ride the delta path");
+    for (k, (got, want)) in sparse.iter().zip(&dense).enumerate() {
+        assert!(!want.is_empty(), "attack {k} extracted no image");
+        assert_eq!(got, want, "attack {k}: image CRCs, delta against dense");
+    }
 }

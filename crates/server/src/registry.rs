@@ -6,8 +6,8 @@
 //! a panicking job lands in [`JobState::Failed`] instead of killing
 //! its executor; every shared lock recovers from poisoning (the state
 //! it guards is written in single `=` assignments, consistent at every
-//! panic point); live progress is read from [`Progress`]'s lock-free
-//! counters, so a `WATCH`ing client never touches a lock a worker
+//! panic point); live progress is read from each job's lock-free
+//! rep counter, so a `WATCH`ing client never touches a lock a worker
 //! could poison.
 //!
 //! With a state directory configured ([`RegistryConfig::state_dir`]),
@@ -23,12 +23,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use voltboot::campaign::{Checkpoint, ShardRange};
 use voltboot_telemetry::metrics::{self, Counter, Gauge, LatencyHist, MetricsRegistry};
-use voltboot_telemetry::Progress;
 
 use crate::journal::{Journal, JournalError, JournalEvent};
 use crate::spec::SweepSpec;
@@ -71,11 +71,28 @@ struct Job {
     state: JobState,
     /// The rendered report once [`JobState::Done`].
     report: Option<String>,
-    /// Live rep counters, bumped by the campaign's merger thread.
-    progress: Arc<Progress>,
+    /// Reps merged so far: a relaxed atomic bumped by the campaign's
+    /// merger thread or credited by the shard supervisor.
+    done: Arc<AtomicU64>,
+    /// Reps the job runs in total.
+    total: u64,
     /// Wall-clock enqueue instant, for the claim-latency histogram.
     /// Out-of-band: never feeds the deterministic report surface.
     queued_at: Instant,
+}
+
+impl Job {
+    /// A job waiting for an executor, with no rep merged yet.
+    fn queued(spec: SweepSpec) -> Self {
+        Job {
+            total: spec.reps,
+            spec,
+            state: JobState::Queued,
+            report: None,
+            done: Arc::default(),
+            queued_at: Instant::now(),
+        }
+    }
 }
 
 /// A point-in-time view of one job, safe to hand to protocol handlers.
@@ -505,7 +522,6 @@ impl Registry {
     /// One-line detail when the daemon is draining/shut down or the
     /// journal write fails.
     pub fn submit(&self, spec: SweepSpec) -> Result<u64, String> {
-        let progress = Arc::new(Progress::new(spec.reps));
         let canonical = spec.canonical();
         let mut inner = self.lock();
         if inner.shutdown || inner.draining {
@@ -531,16 +547,7 @@ impl Registry {
             )
             .inc();
         inner.next_id += 1;
-        inner.jobs.insert(
-            id,
-            Job {
-                spec,
-                state: JobState::Queued,
-                report: None,
-                progress,
-                queued_at: Instant::now(),
-            },
-        );
+        inner.jobs.insert(id, Job::queued(spec));
         inner.queue.push_back(id);
         self.stats.queue_depth.set(inner.queue.len() as f64);
         drop(inner);
@@ -552,9 +559,11 @@ impl Registry {
     /// unknown job.
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
         let inner = self.lock();
-        inner.jobs.get(&id).map(|job| {
-            let (done, total) = job.progress.snapshot();
-            JobSnapshot { id, state: job.state.clone(), done, total }
+        inner.jobs.get(&id).map(|job| JobSnapshot {
+            id,
+            state: job.state.clone(),
+            done: job.done.load(Ordering::Relaxed),
+            total: job.total,
         })
     }
 
@@ -613,11 +622,11 @@ impl Registry {
     }
 
     /// Blocks until a job is queued (returning its id, spec, and
-    /// progress handle, with the job already marked running) or
+    /// rep counter, with the job already marked running) or
     /// shutdown/drain is flagged (returning `None`). Queue entries
     /// whose job is missing or no longer claimable are skipped and
     /// counted — never unwrapped.
-    fn claim(&self) -> Option<(u64, SweepSpec, Arc<Progress>)> {
+    fn claim(&self) -> Option<(u64, SweepSpec, Arc<AtomicU64>)> {
         let mut inner = self.lock();
         loop {
             if inner.shutdown || inner.draining {
@@ -628,7 +637,7 @@ impl Registry {
                     Some(job) if job.state == JobState::Queued => {
                         job.state = JobState::Running;
                         let queued_for = job.queued_at.elapsed();
-                        let claimed = (id, job.spec.clone(), Arc::clone(&job.progress));
+                        let claimed = (id, job.spec.clone(), Arc::clone(&job.done));
                         self.stats.queue_depth.set(inner.queue.len() as f64);
                         drop(inner);
                         self.stats.claim_latency_ns.observe_duration(queued_for);
@@ -671,10 +680,7 @@ impl Registry {
                     job.state = JobState::Done;
                     job.report = Some(report);
                 }
-                Err(detail) => {
-                    job.progress.mark_failed();
-                    job.state = JobState::Failed(detail);
-                }
+                Err(detail) => job.state = JobState::Failed(detail),
             }
         }
         drop(inner);
@@ -687,9 +693,9 @@ impl Registry {
     /// Campaigns run under `catch_unwind`, so a panicking job fails
     /// *that job* and the executor lives on.
     pub fn run_executor(self: &Arc<Self>) {
-        while let Some((id, spec, progress)) = self.claim() {
+        while let Some((id, spec, done)) = self.claim() {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(self, id, &spec, progress)
+                run_job(self, id, &spec, done)
             }))
             .unwrap_or_else(|payload| {
                 let msg = payload
@@ -784,31 +790,14 @@ fn replay_events(
             JournalEvent::Submitted { id, spec } => {
                 inner.next_id = inner.next_id.max(id.saturating_add(1));
                 let job = match SweepSpec::parse(spec.split(' ')) {
-                    Ok(spec) => {
-                        let progress = Arc::new(Progress::new(spec.reps));
-                        Job {
-                            spec,
-                            state: JobState::Queued,
-                            report: None,
-                            progress,
-                            queued_at: Instant::now(),
-                        }
-                    }
-                    Err(e) => {
-                        // A journal from a different spec vocabulary:
-                        // keep the id slot, fail the job typed.
-                        let progress = Arc::new(Progress::new(0));
-                        progress.mark_failed();
-                        Job {
-                            spec: SweepSpec::default(),
-                            state: JobState::Failed(format!(
-                                "journaled spec no longer parses: {e}"
-                            )),
-                            report: None,
-                            progress,
-                            queued_at: Instant::now(),
-                        }
-                    }
+                    Ok(spec) => Job::queued(spec),
+                    // A journal from a different spec vocabulary: keep
+                    // the id slot, fail the job typed.
+                    Err(e) => Job {
+                        total: 0,
+                        state: JobState::Failed(format!("journaled spec no longer parses: {e}")),
+                        ..Job::queued(SweepSpec::default())
+                    },
                 };
                 inner.jobs.insert(id, job);
             }
@@ -820,12 +809,11 @@ fn replay_events(
                 if let Some(job) = inner.jobs.get_mut(&id) {
                     match std::fs::read_to_string(report_path(state_dir, id)) {
                         Ok(report) => {
-                            job.progress.set_done(job.progress.total());
+                            job.done.fetch_max(job.total, Ordering::Relaxed);
                             job.state = JobState::Done;
                             job.report = Some(report);
                         }
                         Err(e) => {
-                            job.progress.mark_failed();
                             job.state =
                                 JobState::Failed(format!("report lost across restart: {e}"));
                         }
@@ -834,7 +822,6 @@ fn replay_events(
             }
             JournalEvent::Failed { id, detail } => {
                 if let Some(job) = inner.jobs.get_mut(&id) {
-                    job.progress.mark_failed();
                     job.state = JobState::Failed(detail);
                 }
             }
@@ -857,7 +844,7 @@ fn run_job(
     registry: &Arc<Registry>,
     id: u64,
     spec: &SweepSpec,
-    progress: Arc<Progress>,
+    done: Arc<AtomicU64>,
 ) -> Result<String, String> {
     if spec.shards > 0 {
         if let Some(dir) = registry.config.state_dir.clone() {
@@ -865,7 +852,7 @@ fn run_job(
                 id,
                 spec,
                 &dir,
-                &progress,
+                &done,
                 &registry.config.supervise,
                 &registry.stats,
             );
@@ -873,7 +860,7 @@ fn run_job(
         // No durable home for shard checkpoints: fall back to the
         // in-process scheduler, which yields the same bytes.
     }
-    run_in_process(registry, id, spec, progress)
+    run_in_process(registry, id, spec, done)
 }
 
 /// Runs one job's campaign through the checkpointed parallel scheduler
@@ -885,7 +872,7 @@ fn run_in_process(
     registry: &Registry,
     id: u64,
     spec: &SweepSpec,
-    progress: Arc<Progress>,
+    done: Arc<AtomicU64>,
 ) -> Result<String, String> {
     let checkpoint = match &registry.config.state_dir {
         Some(dir) => job_checkpoint_path(dir, id),
@@ -898,7 +885,7 @@ fn run_in_process(
             Ok(cp) => {
                 // Pre-credit the prior life's progress so WATCH shows
                 // the true position from the first poll.
-                progress.set_done(cp.next_rep.saturating_sub(cp.shard.start));
+                done.fetch_max(cp.next_rep.saturating_sub(cp.shard.start), Ordering::Relaxed);
                 resume = true;
             }
             Err(_) => {
@@ -907,7 +894,7 @@ fn run_in_process(
             }
         }
     }
-    let campaign = spec.campaign().observe(Arc::clone(&progress));
+    let campaign = spec.campaign().observe(done);
     let result = if resume {
         campaign.resume_shard_parallel(spec.threads, &checkpoint, spec.victim())
     } else {
@@ -942,7 +929,7 @@ mod tests {
         let id = registry.submit(tiny_spec()).unwrap();
         assert_eq!(registry.snapshot(id).unwrap().state, JobState::Queued);
 
-        let (claimed, _spec, _progress) = registry.claim().unwrap();
+        let (claimed, _spec, _done) = registry.claim().unwrap();
         assert_eq!(claimed, id);
         assert_eq!(registry.snapshot(id).unwrap().state, JobState::Running);
         assert_eq!(registry.report(id).unwrap(), Ok(None));
@@ -954,14 +941,14 @@ mod tests {
     }
 
     #[test]
-    fn failed_jobs_carry_their_detail_and_mark_progress() {
+    fn failed_jobs_carry_their_detail() {
         let registry = Arc::new(Registry::new());
         let id = registry.submit(tiny_spec()).unwrap();
-        let (_, _, progress) = registry.claim().unwrap();
+        registry.claim().unwrap();
         registry.finish(id, Err("worker panicked: boom".to_string()));
         let snap = registry.snapshot(id).unwrap();
         assert_eq!(snap.state, JobState::Failed("worker panicked: boom".to_string()));
-        assert!(progress.is_failed());
+        assert_eq!((snap.done, snap.total), (0, 2));
         assert_eq!(registry.report(id).unwrap(), Err("worker panicked: boom".to_string()));
     }
 

@@ -6,8 +6,8 @@
 //! `voltboot-server shard --start A --end B --checkpoint PATH <spec>`
 //! and polls the shard's checkpoint for liveness: the checkpoint's
 //! `next_rep` advancing *is* the heartbeat (each advance also bumps
-//! the job's [`Progress`] counters, so `WATCH` streams supervised jobs
-//! exactly like in-process ones).
+//! the job's rep counter, so `WATCH` streams supervised jobs exactly
+//! like in-process ones).
 //!
 //! Failure handling, per shard:
 //!
@@ -26,12 +26,11 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use voltboot::campaign::{merge_shards, Checkpoint, RetryPolicy, ShardRange};
 use voltboot_telemetry::metrics::Gauge;
-use voltboot_telemetry::Progress;
 
 use crate::registry::{names, sanitize, shard_checkpoint_path, DaemonStats};
 use crate::spec::SweepSpec;
@@ -96,7 +95,7 @@ pub fn run_supervised(
     id: u64,
     spec: &SweepSpec,
     state_dir: &Path,
-    progress: &Arc<Progress>,
+    done: &AtomicU64,
     cfg: &SupervisorConfig,
     stats: &DaemonStats,
 ) -> Result<String, String> {
@@ -119,7 +118,7 @@ pub fn run_supervised(
                 let (exe, tokens) = (&exe, &tokens);
                 scope.spawn(move || {
                     let gauges = ShardGauges::register(stats, id, k);
-                    supervise_shard(exe, tokens, range, path, progress, cfg, stats, &gauges)
+                    supervise_shard(exe, tokens, range, path, done, cfg, stats, &gauges)
                 })
             })
             .collect();
@@ -182,12 +181,12 @@ fn supervise_shard(
     spec_tokens: &[String],
     range: ShardRange,
     path: &Path,
-    progress: &Arc<Progress>,
+    done: &AtomicU64,
     cfg: &SupervisorConfig,
     stats: &DaemonStats,
     gauges: &ShardGauges,
 ) -> Result<(), String> {
-    // Reps of this shard already credited into the shared progress.
+    // Reps of this shard already credited into the job's counter.
     let mut reported = 0u64;
     let mut attempt = 0u32;
     let mut last_failure = "never attempted".to_string();
@@ -199,7 +198,7 @@ fn supervise_shard(
         if path.exists() {
             match Checkpoint::load(path) {
                 Ok(cp) if cp.shard == range => {
-                    credit(progress, &mut reported, range, cp.next_rep);
+                    credit(done, &mut reported, range, cp.next_rep);
                     gauges.next_rep.set(cp.next_rep as f64);
                     if cp.next_rep >= range.end {
                         return Ok(());
@@ -264,9 +263,8 @@ fn supervise_shard(
             if now_next != last_next {
                 last_next = now_next;
                 last_advance = Instant::now();
-                progress.beat();
                 if let Some(next) = now_next {
-                    credit(progress, &mut reported, range, next);
+                    credit(done, &mut reported, range, next);
                     gauges.next_rep.set(next as f64);
                 }
             }
@@ -289,7 +287,7 @@ fn supervise_shard(
 
         // The worker may have advanced and exited between two polls.
         if let Some(next) = peek_next_rep(path) {
-            credit(progress, &mut reported, range, next);
+            credit(done, &mut reported, range, next);
             gauges.next_rep.set(next as f64);
         }
         if exited_ok {
@@ -306,14 +304,14 @@ fn supervise_shard(
     }
 }
 
-/// Credits newly observed shard progress into the job's shared
-/// counters. Monotone per shard: a rewound checkpoint (discarded after
+/// Credits newly observed shard progress into the job's rep counter.
+/// Monotone per shard: a rewound checkpoint (discarded after
 /// corruption) never subtracts.
-fn credit(progress: &Progress, reported: &mut u64, range: ShardRange, next_rep: u64) {
-    let done = next_rep.saturating_sub(range.start).min(range.len());
-    if done > *reported {
-        progress.add_done(done - *reported);
-        *reported = done;
+fn credit(done: &AtomicU64, reported: &mut u64, range: ShardRange, next_rep: u64) {
+    let shard_done = next_rep.saturating_sub(range.start).min(range.len());
+    if shard_done > *reported {
+        done.fetch_add(shard_done - *reported, Ordering::Relaxed);
+        *reported = shard_done;
     }
 }
 
@@ -375,18 +373,18 @@ mod tests {
 
     #[test]
     fn credit_is_monotone_per_shard() {
-        let progress = Progress::new(10);
+        let done = AtomicU64::new(0);
         let mut reported = 0;
         let range = ShardRange { start: 2, end: 8 };
-        credit(&progress, &mut reported, range, 5);
-        assert_eq!(progress.done(), 3);
+        credit(&done, &mut reported, range, 5);
+        assert_eq!(done.load(Ordering::Relaxed), 3);
         // A stale or rewound observation never subtracts.
-        credit(&progress, &mut reported, range, 4);
-        assert_eq!(progress.done(), 3);
-        credit(&progress, &mut reported, range, 8);
-        assert_eq!(progress.done(), 6);
+        credit(&done, &mut reported, range, 4);
+        assert_eq!(done.load(Ordering::Relaxed), 3);
+        credit(&done, &mut reported, range, 8);
+        assert_eq!(done.load(Ordering::Relaxed), 6);
         // Beyond the shard end clamps.
-        credit(&progress, &mut reported, range, 99);
-        assert_eq!(progress.done(), 6);
+        credit(&done, &mut reported, range, 99);
+        assert_eq!(done.load(Ordering::Relaxed), 6);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::bits::PackedBits;
 use crate::cell::{CellDistribution, CellParams};
-use crate::engine;
+use crate::engine::{self, PowerOn};
 use crate::error::SramError;
 use crate::physics::{LeakageModel, Temperature};
 use std::sync::Arc;
@@ -134,8 +134,9 @@ pub enum ResolutionMode {
     /// cells) per kernel step against the memoized die planes, sharded
     /// across threads for large arrays. Eligible for the rep-delta
     /// sparse path ([`crate::delta`]): once a `(die, condition)` pair
-    /// has settled a baseline, later reps rewrite only hot words —
-    /// byte-identical output, a fraction of the cost.
+    /// that loses some cells and keeps the rest has settled a baseline,
+    /// later reps rewrite only hot words — byte-identical output, a
+    /// fraction of the cost.
     Batched,
     /// The bit-sliced path restricted to single-word (64-cell) kernels —
     /// the lane-width oracle [`Batched`](ResolutionMode::Batched) is
@@ -143,9 +144,11 @@ pub enum ResolutionMode {
     /// the narrow code path.
     BatchedWord,
     /// [`Batched`](ResolutionMode::Batched) with the rep-delta path
-    /// disabled: always the full-width dense scan. The oracle the delta
-    /// path is tested against, and the mode benches use to price the
-    /// dense rep a sweep would otherwise pay.
+    /// disabled: a power-on decided cell by cell always takes the
+    /// full-width dense scan. The oracle the delta path is tested
+    /// against, and the mode benches use to price the dense rep a sweep
+    /// would otherwise pay. A power-on that keeps or loses every cell
+    /// scans nothing in either mode.
     BatchedFull,
 }
 
@@ -202,15 +205,17 @@ pub struct SramArray {
     /// Report from the most recent power-on, if it followed an off period.
     last_report: Option<RetentionReport>,
     /// Owed power-up tiles: one bit per [`engine::TILE_CELLS`]-cell tile
-    /// whose power-up sample of event `owed_event` a certainly-lost
-    /// batched power-on recorded instead of writing. Such a tile's
+    /// whose power-up sample of event `owed_event` a batched power-on
+    /// that lost every cell recorded instead of writing. Such a tile's
     /// `data` words are stale. Reads and [`SramArray::snapshot`] sample
     /// it on the fly; a write settles it if it covers the tile in part,
     /// and clears its bit unsampled if it covers the tile whole;
-    /// [`SramArray::restore`] clears every bit. A power-on that changes
-    /// no cell leaves the tiles owed, and a batched one that loses every
-    /// cell drops them unsampled; every other power-on settles them
-    /// first, sharded across threads like a resolve.
+    /// [`SramArray::restore`] clears every bit. The power-on rules, the
+    /// same on both paths ([`engine::power_on_outcome`]): one that keeps
+    /// every cell leaves the tiles owed; one that loses every cell
+    /// replaces them with its own sample, owed when batched; every other
+    /// power-on settles them first, sharded across threads like a
+    /// resolve.
     owed: PackedBits,
     /// The power-on event whose sample the `owed` tiles stand for.
     owed_event: u64,
@@ -418,101 +423,72 @@ impl SramArray {
         let event_id = self.powerup_events;
         self.powerup_events += 1;
 
-        let mut retained = 0usize;
-        let mut lost = 0usize;
-        let first_power = !self.ever_powered;
-
-        // Fast path 1: the whole array certainly retained. A rail held at
-        // or above the maximum possible DRV with zero accumulated stress
-        // keeps every cell, with no need to derive per-cell parameters.
-        let certainly_retained = !first_power
-            && match event {
-                OffEvent::Held { voltage, transient_min_voltage } => {
-                    stress == 0.0
-                        && voltage >= self.config.distribution.drv_max
-                        && transient_min_voltage >= self.config.distribution.drv_max
-                }
-                OffEvent::Unpowered => false,
-            };
-        // Fast path 2: the whole array certainly lost. The decay budget is
-        // lognormal; a stress beyond any plausible tail quantile loses
-        // every cell, so only the power-up state is left to sample (or,
-        // batched, to owe).
-        let max_plausible_budget = (self.config.distribution.decay_sigma * 9.0).exp();
-        let certainly_lost =
-            first_power || (matches!(event, OffEvent::Unpowered) && stress > max_plausible_budget);
-
-        let batch = mode != ResolutionMode::Scalar
-            && engine::can_batch(&self.config.distribution, event, stress);
-        let wide = matches!(mode, ResolutionMode::Batched | ResolutionMode::BatchedFull);
-
-        // Owed tiles stay owed through a batched cycle that changes no
-        // cell, and a batched certainly-lost cycle owes its own sample in
-        // their place. A batched resolve that loses every cell rewrites
-        // every word, so, like a write that covers them whole, it drops
-        // them unsampled. Every other cycle, and every scalar one,
-        // settles them first, so it resolves against the contents they
-        // stand for.
-        let dist = &self.config.distribution;
-        let keeps_owed = mode != ResolutionMode::Scalar
-            && (certainly_retained
-                || (batch && (certainly_lost || engine::keeps_every_cell(dist, event, stress))));
-        if !keeps_owed {
-            if batch && engine::loses_every_cell(dist, event) {
-                self.owed.words_mut().fill(0);
-            } else {
-                self.settle_owed();
-            }
+        let (bits, dist) = (self.config.bits, self.config.distribution);
+        let outcome = engine::power_on_outcome(&dist, event, stress, !self.ever_powered);
+        let batch = mode != ResolutionMode::Scalar && engine::can_batch(&dist, event, stress);
+        // Fetching the planes records `sram.planes.*` counters, which are
+        // report bytes, so which power-ons fetch them is fixed: every
+        // batched one but a clean hold.
+        let planes = match (outcome, event) {
+            (PowerOn::KeepsAll, OffEvent::Held { .. }) => None,
+            _ => batch.then(|| self.planes(rec)),
+        };
+        if outcome == PowerOn::PerCell {
+            // Retention depends on what the tiles owe, so settle them
+            // first.
+            self.settle_owed();
         }
-
-        if certainly_retained {
-            retained = self.config.bits;
-        } else if certainly_lost {
-            lost = self.config.bits;
-            let dist = self.config.distribution;
-            if batch {
-                // The sample is owed, not written: each tile is sampled
-                // when something reads it or writes it in part, and never
-                // if a write covers it whole first.
-                self.planes(rec);
+        let retained = match (outcome, planes) {
+            // No cell changes, so owed tiles stay owed.
+            (PowerOn::KeepsAll, _) => bits,
+            // The event's sample replaces the contents, owed tiles
+            // included. Batched, it is owed in its turn: each tile is
+            // sampled when something reads it or writes it in part, and
+            // never if a write covers it whole first.
+            (PowerOn::LosesAll, Some(_)) => {
                 self.owed = PackedBits::ones(self.owed.len());
                 self.owed_event = event_id;
-            } else {
-                for i in 0..self.config.bits {
+                0
+            }
+            (PowerOn::LosesAll, None) => {
+                self.owed.words_mut().fill(0);
+                for i in 0..bits {
                     let v = CellParams::sample_powerup_only(self.seed, i, &dist, event_id);
                     self.data.set(i, v);
                 }
+                0
             }
-        } else if batch {
-            let planes = self.planes(rec);
             // The rep-delta sparse path serves `Batched` resolves whose
             // `(die, condition)` has a settled baseline; everything else
             // (first sights, evicted dies, `BatchedFull`, the kill
             // switch) falls through to the dense engine. Either way the
             // output is byte-identical, so no resolution counter records
             // which path ran — that choice is scheduling-dependent.
-            let via_delta = if mode == ResolutionMode::Batched {
-                crate::delta::resolve_delta(&mut self.data, &planes, event, stress, event_id)
-            } else {
-                None
-            };
-            retained = via_delta.unwrap_or_else(|| {
-                engine::resolve(&mut self.data, &planes, event, stress, event_id, wide)
-            });
-            lost = self.config.bits - retained;
-        } else {
-            for i in 0..self.config.bits {
-                let params = self.cell_params(i);
-                let keeps = Self::cell_retains(&params, event, stress);
-                if keeps {
-                    retained += 1;
+            (PowerOn::PerCell, Some(planes)) => {
+                let via_delta = if mode == ResolutionMode::Batched {
+                    crate::delta::resolve_delta(&mut self.data, &planes, event, stress, event_id)
                 } else {
-                    lost += 1;
-                    let v = params.sample_powerup(self.seed, i, event_id);
-                    self.data.set(i, v);
-                }
+                    None
+                };
+                let wide = matches!(mode, ResolutionMode::Batched | ResolutionMode::BatchedFull);
+                via_delta.unwrap_or_else(|| {
+                    engine::resolve(&mut self.data, &planes, event, stress, event_id, wide)
+                })
             }
-        }
+            (PowerOn::PerCell, None) => {
+                let mut retained = 0;
+                for i in 0..bits {
+                    let params = self.cell_params(i);
+                    if Self::cell_retains(&params, event, stress) {
+                        retained += 1;
+                    } else {
+                        self.data.set(i, params.sample_powerup(self.seed, i, event_id));
+                    }
+                }
+                retained
+            }
+        };
+        let lost = bits - retained;
         self.ever_powered = true;
         self.state = PowerState::Powered;
         rec.incr("sram.power_cycles", 1);
@@ -1015,16 +991,25 @@ mod tests {
         assert_eq!(s.owed.count_ones(), 5, "every tile is owed");
         assert_eq!(tiles_built(&s), 0, "the first power-on builds no power-up tile");
         assert!(s.data.words().iter().all(|&w| w == 0), "the first power-on writes no word");
-        assert_eq!(s.snapshot().unwrap(), powerup_image(&s, 0));
+        // A hold below `drv_min` loses every cell as well: it owes its
+        // own sample in place of the first power-on's.
+        s.power_off(OffEvent::held(0.04)).unwrap();
+        assert_eq!(s.power_on().unwrap().lost, s.len_bits());
+        assert_eq!((s.owed.count_ones(), s.owed_event), (5, 1), "the hold owes event 1");
+        assert_eq!(tiles_built(&s), 0, "the hold builds no power-up tile");
+        assert!(s.data.words().iter().all(|&w| w == 0), "the hold writes no word");
+        assert_eq!(s.snapshot().unwrap(), powerup_image(&s, 1));
         s.fill(0xA5).unwrap();
         assert_eq!(s.owed.count_ones(), 0, "a fill covers every tile whole");
         s.power_off(OffEvent::unpowered()).unwrap();
         s.elapse(Duration::from_secs(3600), Temperature::ROOM);
         assert_eq!(s.power_on().unwrap().lost, s.len_bits());
-        assert_eq!((s.owed.count_ones(), s.owed_event), (5, 1), "the cycle owes event 1");
-        assert!(s.snapshot().is_ok_and(|image| image == powerup_image(&s, 1)));
-        assert_eq!(tiles_built(&s), 5, "the snapshot sampled every tile");
+        assert_eq!((s.owed.count_ones(), s.owed_event), (5, 2), "the cycle owes event 2");
+        assert!(s.snapshot().is_ok_and(|image| image == powerup_image(&s, 2)));
+        assert_eq!(tiles_built(&s), 5, "the snapshots sampled every tile");
         assert_eq!(s.data.to_bytes(), vec![0xA5; s.len_bytes()], "the cycle wrote no word");
+        let first = owed_array(0x0ED0_0001);
+        assert_eq!(first.snapshot().unwrap(), powerup_image(&first, 0), "the first power-on");
     }
 
     #[test]
@@ -1096,23 +1081,18 @@ mod tests {
     #[test]
     fn a_partial_droop_settles_before_it_resolves() {
         // A droop keeps some cells, so it must resolve against settled
-        // contents; a hold below `drv_min` loses every cell and rewrites
-        // every word, so it may drop the owed tiles unsampled.
-        for (k, event) in
-            [OffEvent::held_with_droop(0.8, 0.31), OffEvent::held(0.04)].into_iter().enumerate()
-        {
-            let mut s = owed_array(0x0ED0_0005 + 0x100 * k as u64);
-            let mut reference = SramArray::new(s.config.clone(), s.seed);
-            reference.power_on_with(ResolutionMode::Scalar).unwrap();
-            for a in [&mut s, &mut reference] {
-                a.power_off(event).unwrap();
-            }
-            let report = s.power_on().unwrap();
-            assert_eq!(report.retained > 0, k == 0, "{event:?}: {report:?}");
-            assert_eq!(report, reference.power_on_with(ResolutionMode::Scalar).unwrap());
-            assert_eq!(s.owed.count_ones(), 0, "{event:?}");
-            assert_eq!(s.data, reference.data, "{event:?}: the stored words are current");
+        // contents.
+        let mut s = owed_array(0x0ED0_0005);
+        let mut reference = SramArray::new(s.config.clone(), s.seed);
+        reference.power_on_with(ResolutionMode::Scalar).unwrap();
+        for a in [&mut s, &mut reference] {
+            a.power_off(OffEvent::held_with_droop(0.8, 0.31)).unwrap();
         }
+        let report = s.power_on().unwrap();
+        assert!(report.retained > 0 && report.lost > 0, "{report:?}");
+        assert_eq!(report, reference.power_on_with(ResolutionMode::Scalar).unwrap());
+        assert_eq!(s.owed.count_ones(), 0);
+        assert_eq!(s.data, reference.data, "the stored words are current");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!      built one 64-word (4096-cell) tile at a time, by the first
 //!      sample that needs the tile: a read, partial write or settle of
 //!      an owed tile (see [`SramArray`](crate::SramArray)'s owed
-//!      power-up tiles), or a query that can lose a cell, which builds
+//!      power-up tiles), or a query decided cell by cell, which builds
 //!      the whole block before its kernels fan out. A tile is derived a
 //!      word at a time ([`powerup_record`]): integer class tests, no
 //!      float and no branch per cell;
@@ -39,12 +39,16 @@
 //!    cycle, while each bit *removed*
 //!    doubles the (cheap, exact) bucket-tie fallback rate — these widths
 //!    keep ties in the low thousands per megabyte while the warm cycle
-//!    stays bandwidth-lean. A fresh die's first power-on and a
-//!    certainly-lost cycle owe their power-up sample instead of writing
-//!    it, and a clean held rail or a zero-stress cycle keeps every cell,
-//!    so none of them derives anything: only the tiles later reads and
-//!    writes touch pay their power-up draws, and only droops and cold
-//!    cycles pay the per-cell Box–Muller draws of the retention blocks.
+//!    stays bandwidth-lean. [`power_on_outcome`] classifies every
+//!    power-on, scalar or batched, before anything is derived. One that
+//!    loses every cell (a fresh die's first power-on, an unheld cycle
+//!    past the decay tail, a hold below `drv_min`) owes its power-up
+//!    sample instead of writing it, and one that keeps every cell (a
+//!    clean hold, a zero-stress cycle) changes nothing, so neither
+//!    derives anything: only the tiles later reads and writes touch pay
+//!    their power-up draws, and only the power-ons decided cell by cell
+//!    (droops into the DRV range, cold cycles) pay the per-cell
+//!    Box–Muller draws of the retention blocks.
 //!    Planes are memoized on the array and in a bounded global cache, so
 //!    repeated cycles of the same die (the common case) derive nothing.
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
@@ -317,7 +321,7 @@ struct DecayBlock {
 ///   [`OnceLock`] per [`TILE_WORDS`]-word tile. A tile is derived by the
 ///   first sample that needs it ([`DiePlanes::powerup_tile`]): an
 ///   array's owed power-up tiles are sampled when read, partly written
-///   or settled, and a query that can lose a cell derives the whole
+///   or settled, and a query decided cell by cell derives the whole
 ///   block before its kernels fan out ([`Query::new`]). A fresh die
 ///   whose arrays are mostly overwritten whole or never read derives
 ///   only the tiles something looks at.
@@ -413,11 +417,11 @@ impl DiePlanes {
     /// resolve, on first call.
     fn build_powerup(&self) {
         self.powerup_whole.get_or_init(|| {
-            for_tile_runs(self.bits, |tiles| {
+            shard_tiles(self.bits, &mut [(); 0], 0, |tiles, _| {
                 for t in tiles {
                     self.powerup_tile(t);
                 }
-            })
+            });
         });
     }
 
@@ -454,41 +458,36 @@ fn tiles_per_shard(bits: usize) -> Option<usize> {
     (bits >= PAR_MIN_BITS && threads > 1).then(|| bits.div_ceil(TILE_CELLS).div_ceil(threads))
 }
 
-/// Fills a plane vector laid out as `per_tile` elements per tile by
-/// handing `fill` runs of whole tiles along with the index of each run's
-/// first tile, split across threads by [`tiles_per_shard`].
-fn fill_tiles<T: Send>(
+/// Runs `work` over a `bits`-cell array's tiles: on the calling thread
+/// for the whole array, or, when [`tiles_per_shard`] fans out, on one
+/// scoped thread per run of whole tiles. Each call gets its tile range
+/// and the matching run of `out`, which holds `per_tile` elements per
+/// tile (its last tile may be short). Results come back in tile order.
+fn shard_tiles<T: Send, R: Send>(
     bits: usize,
     out: &mut [T],
     per_tile: usize,
-    fill: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let Some(per_shard) = tiles_per_shard(bits) else {
-        fill(0, out);
-        return;
-    };
-    std::thread::scope(|s| {
-        let fill = &fill;
-        for (i, run) in out.chunks_mut(per_shard * per_tile).enumerate() {
-            s.spawn(move || fill(i * per_shard, run));
-        }
-    });
-}
-
-/// Hands `run` contiguous runs of tile indices covering a `bits`-cell
-/// array, split across threads by [`tiles_per_shard`].
-fn for_tile_runs(bits: usize, run: impl Fn(std::ops::Range<usize>) + Sync) {
+    work: impl Fn(std::ops::Range<usize>, &mut [T]) -> R + Sync,
+) -> Vec<R> {
     let n_tiles = bits.div_ceil(TILE_CELLS);
     let Some(per_shard) = tiles_per_shard(bits) else {
-        run(0..n_tiles);
-        return;
+        return vec![work(0..n_tiles, out)];
     };
     std::thread::scope(|s| {
-        let run = &run;
-        for t0 in (0..n_tiles).step_by(per_shard) {
-            s.spawn(move || run(t0..(t0 + per_shard).min(n_tiles)));
-        }
-    });
+        let work = &work;
+        let mut rest = out;
+        let shards: Vec<_> = (0..n_tiles)
+            .step_by(per_shard)
+            .map(|t0| {
+                let tiles = t0..(t0 + per_shard).min(n_tiles);
+                let len = (tiles.len() * per_tile).min(rest.len());
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                s.spawn(move || work(tiles, run))
+            })
+            .collect();
+        shards.into_iter().map(|h| h.join().expect("tile worker panicked")).collect()
+    })
 }
 
 /// Derives a retention block: every cell's `BITS`-bit bucket, transposed
@@ -501,9 +500,9 @@ fn build_bucket_rows<const BITS: usize>(
     bucket: impl Fn(usize) -> u16 + Sync,
 ) -> Vec<u64> {
     let mut rows = vec![0u64; bits.div_ceil(TILE_CELLS) * BITS * TILE_WORDS];
-    fill_tiles(bits, &mut rows, BITS * TILE_WORDS, |tile0, run| {
-        for (ti, tile) in run.chunks_mut(BITS * TILE_WORDS).enumerate() {
-            let word0 = (tile0 + ti) * TILE_WORDS;
+    shard_tiles(bits, &mut rows, BITS * TILE_WORDS, |tiles, run| {
+        for (t, tile) in tiles.zip(run.chunks_mut(BITS * TILE_WORDS)) {
+            let word0 = t * TILE_WORDS;
             for j in 0..TILE_WORDS.min(bits.div_ceil(64) - word0) {
                 let cell0 = (word0 + j) * 64;
                 let mut batch = [0u16; 64];
@@ -858,46 +857,71 @@ pub(crate) fn can_batch(dist: &CellDistribution, event: OffEvent, stress: f64) -
     grid_ok && event_ok && !stress.is_nan()
 }
 
-/// Whether a batchable query keeps every cell: it scans no DRV row (an
-/// unpowered rail, or a hold whose minimum stays at or above `drv_max`)
-/// and no decay row (`stress <= 0`). In practice this is an unpowered
-/// rail with no stress, such as a zero-length off interval. Such a
-/// cycle changes no cell, so it needs neither the planes nor settled
-/// contents.
-pub(crate) fn keeps_every_cell(dist: &CellDistribution, event: OffEvent, stress: f64) -> bool {
-    stress <= 0.0
-        && match event {
-            OffEvent::Unpowered => true,
-            OffEvent::Held { voltage, transient_min_voltage } => {
-                voltage.min(transient_min_voltage) >= dist.drv_max
-            }
-        }
+/// What a power-on does to an array as a whole: decided once, for the
+/// scalar and the batched path alike, before either touches a cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PowerOn {
+    /// Every cell keeps its value: a hold at or above `drv_max` on both
+    /// its steady and its transient level, or an unpowered rail, with no
+    /// decay stress. Nothing is derived and nothing is written.
+    KeepsAll,
+    /// Every cell loses its value to the event's power-up sample: the
+    /// first power-on, an unpowered interval past any plausible decay
+    /// budget, or a hold whose steady or transient level is below
+    /// `drv_min`. The sample needs no retention block and no settled
+    /// contents.
+    LosesAll,
+    /// Retention must be decided cell by cell.
+    PerCell,
 }
 
-/// Whether a batchable query loses every cell: a hold whose minimum
-/// falls below `drv_min`, so the DRV check fails every cell. Such a
-/// resolve rewrites every word from the power-up block alone, so it
-/// needs no settled contents.
-pub(crate) fn loses_every_cell(dist: &CellDistribution, event: OffEvent) -> bool {
-    matches!(event, OffEvent::Held { voltage, transient_min_voltage }
-        if voltage.min(transient_min_voltage) < dist.drv_min)
+/// Classifies a power-on after an off interval of `event` with `stress`
+/// accumulated decay stress; `first` marks an array's first power-on.
+/// Each hold level is tested on its own, so a NaN level never keeps or
+/// loses the array by itself: it falls to the per-cell rule, which
+/// defines its semantics.
+pub(crate) fn power_on_outcome(
+    dist: &CellDistribution,
+    event: OffEvent,
+    stress: f64,
+    first: bool,
+) -> PowerOn {
+    // The decay budget is lognormal; a stress beyond any plausible tail
+    // quantile exhausts every cell's.
+    let max_plausible_budget = (dist.decay_sigma * 9.0).exp();
+    let (loses, keeps) = match event {
+        OffEvent::Unpowered => (stress > max_plausible_budget, true),
+        OffEvent::Held { voltage, transient_min_voltage } => (
+            voltage < dist.drv_min || transient_min_voltage < dist.drv_min,
+            voltage >= dist.drv_max && transient_min_voltage >= dist.drv_max,
+        ),
+    };
+    if first || loses {
+        PowerOn::LosesAll
+    } else if keeps && stress <= 0.0 {
+        PowerOn::KeepsAll
+    } else {
+        PowerOn::PerCell
+    }
 }
 
-/// One power-cycle resolution query that can lose a cell (see
-/// [`keeps_every_cell`]), pre-bucketized against the die's quantizer
-/// grids, holding the slices of exactly the retention blocks it scans —
-/// so the kernels never touch a lock.
+/// One power-cycle resolution query that [`power_on_outcome`] decides
+/// cell by cell, pre-bucketized against the die's quantizer grids,
+/// holding the slices of exactly the retention blocks it scans — so the
+/// kernels never touch a lock.
 struct Query<'a> {
     planes: &'a DiePlanes,
     /// Hoisted cell-independent half of the per-event RNG word
     /// ([`crate::rng::event_base`]) — the power-up sampler finishes it
     /// with one `event_word_at` per lost metastable cell.
     ev_base: u64,
-    /// The decay check, or `None` when it cannot change the outcome:
-    /// `stress <= 0` keeps every cell within its budget, and a DRV check
-    /// that fails every cell loses them all anyway.
+    /// The decay check, or `None` when `stress <= 0` keeps every cell
+    /// within its budget.
     decay: Option<Scan<'a>>,
-    drv: DrvCheck<'a>,
+    /// The held-rail check against `vmin = min(steady, transient)`, or
+    /// `None` when every cell retains at the hold level: an unpowered
+    /// rail, or `vmin >= drv_max`.
+    drv: Option<Scan<'a>>,
 }
 
 /// A bucket-plane comparison against one retention block: its rows,
@@ -909,19 +933,6 @@ struct Scan<'a> {
     bucket: u16,
 }
 
-/// The held-rail half of a query, against the threshold
-/// `vmin = min(steady, transient)`.
-#[derive(Clone, Copy)]
-enum DrvCheck<'a> {
-    /// Unpowered rail (no DRV check), or `vmin >= drv_max`: every cell
-    /// retains at this hold level.
-    Pass,
-    /// `vmin < drv_min`: no cell retains at this hold level.
-    Fail,
-    /// A droop into the DRV range: compare every cell's DRV bucket.
-    Scan(Scan<'a>),
-}
-
 impl<'a> Query<'a> {
     /// Builds the query, deriving (tile-sharded, on the calling thread —
     /// before any kernel fans out) each retention block it is the first
@@ -931,23 +942,17 @@ impl<'a> Query<'a> {
     fn new(planes: &'a DiePlanes, event: OffEvent, stress: f64, event_id: u64) -> Self {
         let dist = &planes.dist;
         let drv = match event {
-            OffEvent::Unpowered => DrvCheck::Pass,
+            OffEvent::Unpowered => None,
             OffEvent::Held { voltage, transient_min_voltage } => {
                 let vmin = voltage.min(transient_min_voltage);
-                if vmin >= dist.drv_max {
-                    DrvCheck::Pass
-                } else if vmin < dist.drv_min {
-                    DrvCheck::Fail
-                } else {
-                    DrvCheck::Scan(Scan {
-                        rows: planes.drv_rows(),
-                        value: vmin,
-                        bucket: DrvGrid::new(dist).bucket(vmin),
-                    })
-                }
+                (vmin < dist.drv_max).then(|| Scan {
+                    rows: planes.drv_rows(),
+                    value: vmin,
+                    bucket: DrvGrid::new(dist).bucket(vmin),
+                })
             }
         };
-        let decay = (stress > 0.0 && !matches!(drv, DrvCheck::Fail)).then(|| {
+        let decay = (stress > 0.0).then(|| {
             let block = planes.decay_block();
             Scan { rows: &block.rows, value: stress, bucket: block.cuts.bucket(stress) }
         });
@@ -1041,24 +1046,20 @@ fn keep_chunk<const N: usize>(word0: usize, q: &Query<'_>) -> ([u64; N], [u64; N
     // DRV check: min(hold voltage, transient minimum) >= drv, i.e. the
     // cell's bucket below the query's retains, above loses, equal
     // re-derives. Only cells that passed the decay check fall back.
-    match q.drv {
-        DrvCheck::Pass => {}
-        DrvCheck::Fail => keep = [0; N],
-        DrvCheck::Scan(s) => {
-            let (tile, j) = block_tile::<DRV_BITS>(s.rows, word0);
-            let (gt, eq) = cmp_grid::<N, DRV_BITS>(tile, j, s.bucket);
-            for i in 0..N {
-                let mut drv_ok = valid[i] & !gt[i] & !eq[i];
-                let mut boundary = eq[i] & keep[i];
-                while boundary != 0 {
-                    let b = boundary.trailing_zeros() as usize;
-                    if s.value >= derive_drv(seed, (word0 + i) * 64 + b, dist) {
-                        drv_ok |= 1 << b;
-                    }
-                    boundary &= boundary - 1;
+    if let Some(s) = q.drv {
+        let (tile, j) = block_tile::<DRV_BITS>(s.rows, word0);
+        let (gt, eq) = cmp_grid::<N, DRV_BITS>(tile, j, s.bucket);
+        for i in 0..N {
+            let mut drv_ok = valid[i] & !gt[i] & !eq[i];
+            let mut boundary = eq[i] & keep[i];
+            while boundary != 0 {
+                let b = boundary.trailing_zeros() as usize;
+                if s.value >= derive_drv(seed, (word0 + i) * 64 + b, dist) {
+                    drv_ok |= 1 << b;
                 }
-                keep[i] &= drv_ok;
+                boundary &= boundary - 1;
             }
+            keep[i] &= drv_ok;
         }
     }
     (keep, valid)
@@ -1149,10 +1150,9 @@ pub(crate) fn sample_meta_word(
     value
 }
 
-/// Resolves a full power cycle against the planes, writing power-up
-/// samples for lost cells directly into `data`'s words. Returns the
-/// number of retained cells. A query that keeps every cell returns at
-/// once: it would write nothing.
+/// Resolves a full power cycle that [`power_on_outcome`] decides cell
+/// by cell against the planes, writing power-up samples for lost cells
+/// directly into `data`'s words. Returns the number of retained cells.
 ///
 /// `wide` selects the 4-word (256-bit) lane kernel; `false` forces the
 /// single-word oracle everywhere
@@ -1165,15 +1165,12 @@ pub(crate) fn resolve(
     event_id: u64,
     wide: bool,
 ) -> usize {
-    if keeps_every_cell(&planes.dist, event, stress) {
-        return planes.bits();
-    }
     let q = Query::new(planes, event, stress, event_id);
-    run_words(data, planes.bits(), |words, word_base| {
+    let shards = shard_tiles(planes.bits(), data.words_mut(), TILE_WORDS, |tiles, words| {
         let mut retained = 0usize;
-        for (i, words) in words.chunks_mut(TILE_WORDS).enumerate() {
-            let word0 = word_base + i * TILE_WORDS;
-            let tile = planes.powerup_tile(word0 / TILE_WORDS);
+        for (t, words) in tiles.zip(words.chunks_mut(TILE_WORDS)) {
+            let word0 = t * TILE_WORDS;
+            let tile = planes.powerup_tile(t);
             let mut k = 0usize;
             while k < words.len() {
                 if wide && words.len() - k >= 4 {
@@ -1190,7 +1187,8 @@ pub(crate) fn resolve(
             }
         }
         retained
-    })
+    });
+    shards.into_iter().sum()
 }
 
 /// Appends word `word`, whose power-up record is `pw`, to the hot list
@@ -1231,20 +1229,16 @@ pub(crate) fn build_baseline(
     stress: f64,
 ) -> crate::delta::Baseline {
     let bits = planes.bits();
-    if keeps_every_cell(&planes.dist, event, stress) {
-        return crate::delta::Baseline::new(planes.clone(), Vec::new(), bits);
-    }
+    let words = bits.div_ceil(64);
     // The event id only feeds `ev_base`, which the keep scan never
     // reads; 0 is as good as any.
     let q = Query::new(planes, event, stress, 0);
-    let words = bits.div_ceil(64);
-    // Scans words `w0..w1`; `w0` is tile-aligned.
-    let scan = |w0: usize, w1: usize| -> (Vec<u64>, usize) {
+    let shards = shard_tiles(bits, &mut [(); 0], 0, |tiles, _| {
         let mut hot = Vec::new();
         let mut retained = 0usize;
-        for word0 in (w0..w1).step_by(TILE_WORDS) {
-            let tile = planes.powerup_tile(word0 / TILE_WORDS);
-            let n = TILE_WORDS.min(w1 - word0);
+        for t in tiles {
+            let (word0, tile) = (t * TILE_WORDS, planes.powerup_tile(t));
+            let n = TILE_WORDS.min(words - word0);
             let mut k = 0usize;
             while k < n {
                 if n - k >= 4 {
@@ -1269,41 +1263,22 @@ pub(crate) fn build_baseline(
             }
         }
         (hot, retained)
-    };
-    let (hot, retained) = match tiles_per_shard(bits) {
-        None => scan(0, words),
-        Some(per_shard) => {
-            let chunk = per_shard * TILE_WORDS;
-            let shards: Vec<(Vec<u64>, usize)> = std::thread::scope(|s| {
-                (0..words)
-                    .step_by(chunk)
-                    .map(|w0| {
-                        let scan = &scan;
-                        s.spawn(move || scan(w0, (w0 + chunk).min(words)))
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().expect("baseline worker panicked"))
-                    .collect()
-            });
-            let mut hot = Vec::with_capacity(shards.iter().map(|(h, _)| h.len()).sum());
-            let mut retained = 0usize;
-            // Shards are collected in word order, so the flat hot list
-            // stays sorted by absolute word index.
-            for (h, r) in shards {
-                hot.extend_from_slice(&h);
-                retained += r;
-            }
-            (hot, retained)
-        }
-    };
+    });
+    // Shards come back in tile order, so the flat hot list stays sorted
+    // by absolute word index.
+    let mut shards = shards.into_iter();
+    let (mut hot, mut retained) = shards.next().unwrap_or_default();
+    for (h, r) in shards {
+        hot.extend_from_slice(&h);
+        retained += r;
+    }
     crate::delta::Baseline::new(planes.clone(), hot, retained)
 }
 
 /// Overwrites the words of `words` — absolute words `word0..` of an
 /// array — that lie in a tile marked in `owed` (one bit per tile) with
 /// that tile's power-up sample for event `event_id`: the value a
-/// certainly-lost power-on would have written there. Bit-exact with
+/// power-on that loses every cell would have written there. Bit-exact with
 /// per-cell
 /// [`CellParams::sample_powerup_only`](crate::CellParams::sample_powerup_only).
 /// Fetches each owed tile's power-up record once, deriving it on first
@@ -1334,9 +1309,8 @@ pub(crate) fn sample_owed(
 /// `data` in place, sharded across threads like a resolve, so each
 /// worker derives the power-up tiles of its own shard.
 pub(crate) fn settle(data: &mut PackedBits, planes: &DiePlanes, owed: &PackedBits, event_id: u64) {
-    run_words(data, planes.bits(), |words, word_base| {
-        sample_owed(words, word_base, planes, owed, event_id);
-        0
+    shard_tiles(planes.bits(), data.words_mut(), TILE_WORDS, |tiles, words| {
+        sample_owed(words, tiles.start * TILE_WORDS, planes, owed, event_id)
     });
 }
 
@@ -1353,38 +1327,12 @@ fn valid_mask(bits: usize, word: usize) -> u64 {
 /// The number of workers the batched engine actually uses to resolve an
 /// array of `bits` cells from the calling thread: 1 below the
 /// [`PAR_MIN_BITS`] sharding threshold or under an exhausted
-/// [`par::with_budget`] budget, otherwise the tile-aligned shard count
-/// `run_words` splits the word vector into (which can fall short of the
-/// pool size for short arrays). Bench snapshots report this instead of
+/// [`par::with_budget`] budget, otherwise the number of tile-aligned
+/// shards [`shard_tiles`] splits the array into (which can fall short of
+/// the pool size for short arrays). Bench snapshots report this instead of
 /// the raw pool size so the recorded thread count matches what ran.
 pub fn resolution_workers(bits: usize) -> usize {
     tiles_per_shard(bits).map_or(1, |per_shard| bits.div_ceil(TILE_CELLS).div_ceil(per_shard))
-}
-
-/// Runs `kernel` over the array's words, sharding across scoped threads
-/// on tile-aligned boundaries ([`tiles_per_shard`]) when the array is
-/// large enough, and sums the per-shard results. Each call's first word
-/// index is tile-aligned.
-fn run_words<F>(data: &mut PackedBits, bits: usize, kernel: F) -> usize
-where
-    F: Fn(&mut [u64], usize) -> usize + Sync,
-{
-    let words = data.words_mut();
-    let Some(per_shard) = tiles_per_shard(bits) else {
-        return kernel(words, 0);
-    };
-    let chunk = per_shard * TILE_WORDS;
-    std::thread::scope(|s| {
-        let kernel = &kernel;
-        words
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, ws)| s.spawn(move || kernel(ws, i * chunk)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("resolution worker panicked"))
-            .sum()
-    })
 }
 
 #[cfg(test)]
@@ -1755,11 +1703,6 @@ mod tests {
         let n_tiles = bits.div_ceil(TILE_CELLS);
         assert_eq!(planes.powerup_tiles_built(), 0, "building the planes derives nothing");
         let mut data = PackedBits::zeros(bits);
-        // A clean hold at `drv_max` and a zero-stress unpowered interval
-        // keep every cell: they derive nothing at all.
-        resolve(&mut data, &planes, OffEvent::held(dist.drv_max), 0.0, 0, true);
-        resolve(&mut data, &planes, OffEvent::unpowered(), 0.0, 1, true);
-        assert_eq!(planes.powerup_tiles_built(), 0, "keep-every-cell queries sample nothing");
         // Settling an owed power-up sample derives the owed tiles' power-up
         // records and reads no retention row.
         let mut owed = PackedBits::zeros(n_tiles);
@@ -1822,10 +1765,7 @@ mod tests {
                         let q = Query::new(&planes, event, stress, 1);
                         // Block addresses, as integers so they can leave
                         // the thread.
-                        let drv = match q.drv {
-                            DrvCheck::Scan(s) => Some(s.rows.as_ptr() as usize),
-                            _ => None,
-                        };
+                        let drv = q.drv.map(|s| s.rows.as_ptr() as usize);
                         let decay = q.decay.map(|s| s.rows.as_ptr() as usize);
                         let mut data = PackedBits::zeros(bits);
                         data.fill_byte(fill);

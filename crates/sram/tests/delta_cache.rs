@@ -103,7 +103,7 @@ fn stats_reflect_settled_baselines() {
     let reps_before = delta::stats().delta_reps;
     // Cold partial-decay cycles: cold enough that the off interval is
     // inside the decay-budget distribution (room temperature would lose
-    // everything and take the certainly-lost fast path instead).
+    // every cell, which owes its sample and resolves nothing).
     for _ in 0..4 {
         s.fill(0xC3).unwrap();
         s.power_off(OffEvent::unpowered()).unwrap();

@@ -81,10 +81,10 @@ proptest! {
         assert_paths_agree(seed, bits, fill, event, Duration::from_millis(dt_ms), celsius, 2);
     }
 
-    /// The certainly-retained fast path: a clean hold at or above the
+    /// A power-on that keeps every cell: a clean hold at or above the
     /// DRV ceiling with zero accumulated stress.
     #[test]
-    fn certainly_retained_fast_path_agrees(
+    fn keeps_all_power_on_agrees(
         seed in any::<u64>(),
         bits in 1usize..2048,
         volts in 0.55f64..2.0,
@@ -92,10 +92,10 @@ proptest! {
         assert_paths_agree(seed, bits, 0x5A, OffEvent::held(volts), Duration::ZERO, 25.0, 2);
     }
 
-    /// The certainly-lost fast path: unpowered long past any plausible
-    /// decay budget, where only power-up sampling runs.
+    /// A power-on that loses every cell: unpowered long past any
+    /// plausible decay budget, where only power-up sampling runs.
     #[test]
-    fn certainly_lost_fast_path_agrees(
+    fn loses_all_power_on_agrees(
         seed in any::<u64>(),
         bits in 1usize..2048,
     ) {
@@ -194,10 +194,10 @@ const OWED_SIZES: [usize; 8] = [1, 63, 64, 65, 4095, 4096, 4097, 3 * 4096 + 5];
 const TILE_BYTES: usize = 512;
 
 /// One power cycle of an owed-tile sequence. Each kind takes a different
-/// branch of the power-on: the first power-on and `CertainlyLost` owe
-/// their sample, `HeldClean` and `ZeroStress` change no cell and keep it
-/// owed, `BelowDrvMin` loses every cell and drops it, and the rest
-/// settle it before they resolve.
+/// branch of the power-on: the first power-on, `CertainlyLost` and
+/// `BelowDrvMin` lose every cell and owe their own sample, `HeldClean`
+/// and `ZeroStress` change no cell and keep it owed, and the rest settle
+/// it before they resolve.
 #[derive(Clone, Copy, Debug)]
 enum Cycle {
     HeldClean,

@@ -66,9 +66,6 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod parse;
-pub mod progress;
-
-pub use progress::Progress;
 
 use hist::Histogram;
 use std::collections::BTreeMap;

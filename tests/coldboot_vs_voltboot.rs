@@ -100,9 +100,10 @@ fn sram_digest(soc: &voltboot_soc::Soc) -> (u64, u64) {
 
 #[test]
 fn sram_images_are_pinned_across_power_cycles() {
+    use voltboot::telemetry::Recorder;
     use voltboot_armlite::program::builders::nop_sled;
     use voltboot_pdn::Probe;
-    use voltboot_soc::{BootSource, PowerCycleSpec};
+    use voltboot_soc::{BootSource, CycleFaults, PowerCycleSpec};
     let fresh = || {
         let mut soc = devices::raspberry_pi_4(0x2022A5B007);
         soc.power_on_all();
@@ -126,6 +127,15 @@ fn sram_images_are_pinned_across_power_cycles() {
     let report = soc.power_cycle(PowerCycleSpec::quick()).unwrap();
     assert_eq!(report.retention_of("core0.l1d.data").unwrap().lost, 262_144);
     assert_eq!(sram_digest(&soc), (0x4db7_2398_98e5_1a0c, 6_214_163), "weak probe");
+    // A brown-out under the same probe droops the core rail into the
+    // DRV range: a partial loss.
+    let mut soc = fresh();
+    soc.attach_probe("TP15", Probe::bench_supply(0.8, 3.0)).unwrap();
+    let faults = CycleFaults { brownout_min_voltage: Some(0.31), reconnect_misorder: false };
+    let report = soc.power_cycle_with(PowerCycleSpec::quick(), faults, &Recorder::disabled());
+    let lost = report.unwrap().retention_of("core0.l1d.data").unwrap().lost;
+    assert!(0 < lost && lost < 262_144, "a partial droop loses some cells: {lost}");
+    assert_eq!(sram_digest(&soc), (0x1b2a_bbf3_04d8_124c, 6_213_479), "partial droop");
     // An unheld cold boot.
     let mut soc = fresh();
     soc.power_cycle(PowerCycleSpec::cold_boot(-110.0, 20)).unwrap();
