@@ -106,6 +106,31 @@ fn time_min<F: FnMut()>(iters: usize, mut f: F) -> Duration {
     best
 }
 
+/// A/B pairs behind each ratio gate.
+const PAIRS: usize = 31;
+
+/// Median over [`PAIRS`] pairs of `t(B) / t(A)`, where `run(false)` runs
+/// side A once and `run(true)` side B. The sides of a pair run back to
+/// back and every other pair runs B first, so host drift lands on both
+/// sides of a pair instead of in the ratio.
+fn median_paired_ratio(mut run: impl FnMut(bool)) -> f64 {
+    let mut time = |side| {
+        let t0 = Instant::now();
+        run(side);
+        t0.elapsed().as_secs_f64()
+    };
+    // An operator evaluates its left operand first: even pairs time A
+    // first, odd pairs B.
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|i| match i % 2 {
+            0 => time(false).recip() * time(true),
+            _ => time(true) / time(false),
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIRS / 2]
+}
+
 /// One warm power cycle (partial retention at −110 °C / 20 ms — the
 /// general resolution path, no fast-path shortcuts).
 fn cycle(s: &mut SramArray, mode: ResolutionMode) {
@@ -254,16 +279,17 @@ fn main() {
 
     // -- telemetry: disabled recorders must be free --------------------
     // Same plane-cache-warm batched cycle as above, but entered through
-    // the instrumented path with a disabled recorder. The two medians
-    // must be indistinguishable; a generous 50% gate keeps machine
-    // noise from flapping CI while still catching a hot-path `match`
-    // turning into real work.
+    // the instrumented path with a disabled recorder, paired with the
+    // plain cycle. The two must be indistinguishable; a generous 50% gate
+    // keeps machine noise from flapping CI while still catching a
+    // hot-path `match` turning into real work.
     let disabled = Recorder::disabled();
     cycle_traced(&mut batched, ResolutionMode::Batched, &disabled);
-    let t_plain = time_median(15, || cycle(&mut batched, ResolutionMode::Batched));
-    let t_disabled =
-        time_median(15, || cycle_traced(&mut batched, ResolutionMode::Batched, &disabled));
-    let overhead_pct = (t_disabled.as_secs_f64() / t_plain.as_secs_f64() - 1.0) * 100.0;
+    let recorder_ratio = median_paired_ratio(|traced| match traced {
+        true => cycle_traced(&mut batched, ResolutionMode::Batched, &disabled),
+        false => cycle(&mut batched, ResolutionMode::Batched),
+    });
+    let overhead_pct = (recorder_ratio - 1.0) * 100.0;
 
     // -- telemetry: histogram record/query throughput ------------------
     const HIST_OPS: u64 = 1_000_000;
@@ -297,24 +323,23 @@ fn main() {
     // -- fleet metrics plane: hot-rep-path overhead ---------------------
     // Exactly the instrumentation a campaign worker runs per rep (one
     // labelled counter bump plus one latency-histogram observation),
-    // riding the same plane-cache-warm cycle as above, timed with the
-    // plane disabled and then enabled. The delta is two relaxed atomic
-    // RMWs against a multi-millisecond rep; the 5% gate catches the
-    // plane growing a lock or an allocation, not machine noise
-    // (best-of-N minimums on both sides).
+    // riding the same plane-cache-warm cycle as above, timed in pairs
+    // with the plane disabled and enabled. The delta is two relaxed
+    // atomic RMWs against a multi-millisecond rep; the 5% gate catches
+    // the plane growing a lock or an allocation, not machine noise.
     let instrumented_cycle = |s: &mut SramArray| {
         let t0 = Instant::now();
         cycle(s, ResolutionMode::Batched);
         observe_rep_metrics(RepStatus::Success, t0.elapsed());
     };
-    metrics::set_enabled(false);
-    instrumented_cycle(&mut batched);
-    let t_metrics_off = time_min(15, || instrumented_cycle(&mut batched));
     metrics::set_enabled(true);
     instrumented_cycle(&mut batched);
-    let t_metrics_on = time_min(15, || instrumented_cycle(&mut batched));
-    let metrics_overhead_pct =
-        (t_metrics_on.as_secs_f64() / t_metrics_off.as_secs_f64() - 1.0) * 100.0;
+    let metrics_ratio = median_paired_ratio(|enabled| {
+        metrics::set_enabled(enabled);
+        instrumented_cycle(&mut batched);
+    });
+    metrics::set_enabled(true);
+    let metrics_overhead_pct = (metrics_ratio - 1.0) * 100.0;
 
     // -- fleet metrics plane: raw observation throughput ----------------
     let fleet_counter = metrics::global().counter(
@@ -341,11 +366,13 @@ fn main() {
     });
     let metrics_hist_observe_mops = METRIC_OPS as f64 / t_observe.as_secs_f64() / 1e6;
 
-    println!("disabled-recorder overhead     : {overhead_pct:+.1}% (gate: +50%)");
+    println!("disabled-recorder overhead     : {overhead_pct:+.1}% (gate: +50%, {PAIRS} pairs)");
     println!("histogram record               : {record_mops:.1} Mops/s");
     println!("histogram quantile query       : {query_kops:.1} kops/s");
     println!("recorder histogram record      : {rec_hist_mops:.2} Mops/s");
-    println!("metrics plane rep overhead     : {metrics_overhead_pct:+.1}% (gate: +5%)");
+    println!(
+        "metrics plane rep overhead     : {metrics_overhead_pct:+.1}% (gate: +5%, {PAIRS} pairs)"
+    );
     println!("metrics counter inc            : {metrics_counter_mops:.1} Mops/s");
     println!("metrics histogram observe      : {metrics_hist_observe_mops:.1} Mops/s");
 
@@ -404,7 +431,7 @@ fn main() {
     if metrics_overhead_pct > 5.0 {
         eprintln!(
             "BENCH FAIL: fleet metrics cost {metrics_overhead_pct:.1}% on the warm rep path \
-             ({t_metrics_on:?} vs {t_metrics_off:?}); the hot-rep instrumentation gate is 5%"
+             (median of {PAIRS} paired ratios); the hot-rep instrumentation gate is 5%"
         );
         failed = true;
     }

@@ -541,7 +541,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    voltboot_bench::banner("CAMPAIGN", "attack replay under fault-rate sweeps");
+    println!("{}\nCAMPAIGN: attack replay under fault-rate sweeps\n{0}", "=".repeat(62));
     let started = std::time::Instant::now();
     let (doc, trace) = sweep_document(&cfg);
     let elapsed_s = started.elapsed().as_secs_f64();

@@ -1,13 +1,11 @@
-//! Shared helpers for the Volt Boot repro and bench binaries.
-//!
-//! Each `repro_*` binary regenerates one of the paper's tables or
-//! figures (see `DESIGN.md` for the index) and prints the measured
-//! values next to the paper's reported values where the paper gives
-//! concrete numbers.
+//! Shared helpers for the Volt Boot binaries: `repro`, which
+//! regenerates the paper's tables and figures from
+//! `voltboot::experiments::INDEX`, and the `bench_snapshot` and
+//! `campaign` gates.
 
 pub mod dashboard;
 
-/// The die seed the repro binaries use, overridable via the
+/// The die seed the binaries use, overridable via the
 /// `VOLTBOOT_SEED` environment variable (decimal, or hex with a `0x`
 /// prefix).
 ///
@@ -16,7 +14,7 @@ pub mod dashboard;
 /// When `VOLTBOOT_SEED` is set, non-empty and does not parse: a typo
 /// must not silently run the default die.
 pub fn seed() -> u64 {
-    env_seed("VOLTBOOT_SEED", 0x0020_22A5_B007)
+    env_seed("VOLTBOOT_SEED", voltboot::experiments::DEFAULT_SEED)
 }
 
 /// The fault-plan seed the campaign binary uses, overridable via the
@@ -51,18 +49,6 @@ fn parse_seed(s: &str) -> Option<u64> {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => s.parse().ok(),
     }
-}
-
-/// Prints a banner for one experiment.
-pub fn banner(id: &str, title: &str) {
-    println!("==============================================================");
-    println!("{id}: {title}");
-    println!("==============================================================");
-}
-
-/// Prints a paper-vs-measured line.
-pub fn compare(metric: &str, paper: &str, measured: &str) {
-    println!("  {metric:<44} paper: {paper:<12} measured: {measured}");
 }
 
 #[cfg(test)]

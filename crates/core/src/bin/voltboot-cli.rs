@@ -5,7 +5,6 @@
 //! voltboot-cli attack   --device pi4 --victim pattern --extract caches
 //! voltboot-cli attack   --device imx53 --extract iram
 //! voltboot-cli coldboot --device pi4 --celsius -40 --off-ms 5
-//! voltboot-cli sweep    --device pi4
 //! ```
 
 use std::collections::HashMap;
@@ -36,8 +35,7 @@ const USAGE: &str = "usage:
                         [--extract <caches|registers|iram|tlb>] [--current <amps>]
                         [--seed <n>]
   voltboot-cli coldboot --device <pi4|pi3|imx53> [--celsius <t>] [--off-ms <ms>]
-                        [--victim ...] [--extract ...] [--seed <n>]
-  voltboot-cli sweep    --device <pi4|pi3> [--seed <n>]";
+                        [--victim ...] [--extract ...] [--seed <n>]";
 
 fn run(args: &[String]) -> Result<(), String> {
     let Some((command, rest)) = args.split_first() else {
@@ -51,7 +49,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "attack" => cmd_attack(&opts),
         "coldboot" => cmd_coldboot(&opts),
-        "sweep" => cmd_sweep(&opts),
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -216,21 +213,5 @@ fn cmd_coldboot(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     println!("Cold boot ({celsius} C, {off_ms} ms) against {}:\n", soc.board_name());
     summarize(&outcome);
-    Ok(())
-}
-
-fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
-    let seed: u64 =
-        opts.get("seed").map(|s| s.parse()).transpose().map_err(|_| "bad --seed")?.unwrap_or(0xC11);
-    println!("probe current limit vs extraction accuracy:\n");
-    let mut table = TextTable::new(["Limit", "Transient min", "Accuracy"]);
-    for p in voltboot::experiments::ablations::probe_current_sweep(seed) {
-        table.row([
-            format!("{:.1} A", p.current_limit),
-            format!("{:.3} V", p.transient_min_voltage),
-            pct(p.accuracy),
-        ]);
-    }
-    println!("{}", table.render());
     Ok(())
 }

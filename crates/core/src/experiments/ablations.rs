@@ -2,7 +2,7 @@
 //!
 //! * [`remanence_curve`] — retention vs (temperature × off-time),
 //!   validating the SRAM calibration against the published remanence
-//!   numbers the paper cites (≈80 % at −110 °C / 20 ms, 0 % at −40 °C);
+//!   numbers the paper cites;
 //! * [`probe_current_sweep`] — attack accuracy vs probe current limit on
 //!   a core-shared rail, locating the paper's ">3 A supply" requirement;
 //! * [`hold_voltage_sweep`] — retention vs held voltage, tracing the

@@ -1,6 +1,6 @@
 //! Figure 3: a d-cache way snapshot after a cold boot at −40 °C.
 //!
-//! The rendered bitmap shows an ≈50/50 mix of ones and zeros — the cache
+//! The rendered bitmap shows an even mix of ones and zeros — the cache
 //! reset to its power-on state, so nothing of the victim's data remains.
 
 use crate::analysis;
@@ -44,11 +44,6 @@ pub fn run(seed: u64) -> Fig3Result {
     Fig3Result { way_image, ones_fraction, error_vs_stored }
 }
 
-/// Renders the figure as a PBM bitmap, 512 bits per row as in the paper.
-pub fn render_pbm(result: &Fig3Result) -> String {
-    analysis::to_pbm(&result.way_image, 512)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +59,7 @@ mod tests {
     #[test]
     fn pbm_renders_512_columns() {
         let r = run(0xF164);
-        let pbm = render_pbm(&r);
+        let pbm = analysis::to_pbm(&r.way_image, 512);
         assert!(pbm.starts_with("P1\n512 256\n"));
     }
 }

@@ -1,5 +1,5 @@
 //! Figure 7: Volt Boot against bare-metal victims retains i-caches with
-//! 100 % accuracy on both Broadcom SoCs.
+//! full accuracy on both Broadcom SoCs.
 //!
 //! The victim enables its caches and executes a NOP sled on all four
 //! cores; the attack holds VDD_CORE across the power cycle; the

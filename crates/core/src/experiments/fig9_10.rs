@@ -6,7 +6,7 @@
 //! ROM — which scribbles over the scratchpad window `0x83C..0x18CC` and
 //! a small tail — and JTAG dumps the rest intact. The 512-bit-window
 //! Hamming series (Figure 10) localizes the error to those clusters, and
-//! the overall error is ≈2.7 %.
+//! the overall error is a few percent.
 
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};
@@ -21,7 +21,7 @@ pub struct Fig910Result {
     pub reference: PackedBits,
     /// The post-attack JTAG dump.
     pub extracted: PackedBits,
-    /// Overall bit-error fraction (paper: ≈2.7 %).
+    /// Overall bit-error fraction.
     pub overall_error: f64,
     /// Hamming distance per 512-bit window (the Figure 10 series).
     pub hamming_series: Vec<usize>,
@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn error_is_small_and_clustered() {
         let r = run(0xF169);
-        // Paper: 2.7% overall; our clobber map gives the same ballpark.
+        // A few percent overall, as in the paper.
         assert!(
             r.overall_error > 0.015 && r.overall_error < 0.04,
             "overall error {}",

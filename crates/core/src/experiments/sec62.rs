@@ -3,9 +3,9 @@
 //! The experiment fills a target memory with a known pattern, runs the
 //! attack, and measures how much of the pattern survives the device's own
 //! boot path. On the Broadcom SoCs the software-enabled L1 caches are
-//! untouched (100 % accessible, while the VideoCore clobbers L2); on the
-//! i.MX535 the boot ROM's scratchpad writes reduce the accessible iRAM to
-//! ≈95 %.
+//! untouched (fully accessible, while the VideoCore clobbers L2); on the
+//! i.MX535 the boot ROM's scratchpad writes cost a small slice of the
+//! iRAM.
 
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};

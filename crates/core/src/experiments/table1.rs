@@ -3,9 +3,10 @@
 //! The paper chills a Raspberry Pi 4 in a thermal chamber, power-cycles
 //! it for a few milliseconds, and compares each core's extracted d-cache
 //! against the pre-stored pattern. At 0 °C, −5 °C, and −40 °C (the SoC's
-//! hard limit) the mean mismatch is ≈50 % — no retention — while the
+//! hard limit) the mean mismatch is at chance — no retention — while the
 //! fractional Hamming distance against the cache's *startup* state is
-//! ≈0.10, showing the cache simply reset to its power-up fingerprint.
+//! only the power-up noise, showing the cache simply reset to its
+//! power-up fingerprint.
 
 use crate::analysis;
 use crate::attack::{ColdBootAttack, Extraction};

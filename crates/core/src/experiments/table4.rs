@@ -6,9 +6,9 @@
 //! core's d-cache, and the analysis counts how many array elements
 //! survive in W0, W1, and their union.
 //!
-//! Shape to reproduce: 100 % extraction up to half the cache (the array
-//! fits beside the noise), dropping to ≈85–92 % when the array is
-//! cache-sized (every noise eviction destroys a victim line).
+//! Shape to reproduce: full extraction up to half the cache (the array
+//! fits beside the noise), dropping into the paper's range when the
+//! array is cache-sized (every noise eviction destroys a victim line).
 
 use crate::analysis;
 use crate::attack::{Extraction, VoltBootAttack};

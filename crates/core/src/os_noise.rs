@@ -6,14 +6,13 @@
 //! its lines. When the victim's working set fits well under the cache
 //! size, the evictions land in otherwise-unused (invalid) ways and the
 //! victim loses nothing; as the working set approaches the cache size,
-//! every eviction destroys a victim line — that is Table 4's
-//! 100 % → ≈91 % shape.
+//! every eviction destroys a victim line — that is Table 4's shape.
 //!
 //! Noise is a stream of line fills at "kernel" addresses targeting
 //! uniformly random sets, interleaved with the victim's execution. The
 //! intensity is expressed in *events*, calibrated so a cache-sized
-//! victim array loses roughly 8–15 % of its elements (the paper's
-//! Table 4 measures 85.7–91.8 % extraction at 32 KB).
+//! victim array loses a tenth or so of its elements (the paper's Table 4
+//! values are in `experiments::INDEX`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
