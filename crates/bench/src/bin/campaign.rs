@@ -68,7 +68,7 @@
 
 use std::path::{Path, PathBuf};
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RepStatus, RetryPolicy, ShardRange};
+use voltboot::campaign::{Campaign, Checkpoint, RepStatus, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot::telemetry::json::Value;
 use voltboot::telemetry::{export, parse, Recorder};
@@ -142,28 +142,27 @@ fn sweep_document(cfg: &SweepConfig) -> (Value, Recorder) {
     let mut sweeps = Vec::new();
     for (i, &rate) in SWEEP_RATES.iter().enumerate() {
         let campaign = build_campaign(cfg, i, rate);
-        // The parallel entry points run the sequential path at 1 thread,
-        // so every configuration goes through one dispatch.
-        let result = match &cfg.checkpoint {
-            None => campaign.run_parallel(cfg.threads, victim(cfg.die_seed)),
-            Some((stem, resume)) => {
-                let path = sweep_checkpoint(stem, i);
-                if *resume && path.exists() {
-                    campaign
-                        .resume_parallel(cfg.threads, &path, victim(cfg.die_seed))
-                        .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()))
-                } else {
-                    campaign
-                        .run_shard_parallel(
-                            cfg.threads,
-                            ShardRange::whole(cfg.reps),
-                            &path,
-                            victim(cfg.die_seed),
-                        )
-                        .unwrap_or_else(|e| panic!("checkpoint to {}: {e}", path.display()))
-                }
+        // One runner for every configuration; it runs the one-worker
+        // path at 1 thread.
+        let path = cfg.checkpoint.as_ref().map(|(stem, _)| sweep_checkpoint(stem, i));
+        let resume = cfg.checkpoint.as_ref().is_some_and(|(_, resume)| *resume);
+        let from = match &path {
+            Some(path) if resume && path.exists() => {
+                let cp = Checkpoint::load(path)
+                    .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()));
+                assert!(
+                    cp.shard == ShardRange::whole(cp.reps),
+                    "{} covers only shard {}; merge it with `voltboot-server merge-shards`",
+                    path.display(),
+                    cp.shard
+                );
+                cp
             }
+            _ => campaign.fresh(ShardRange::whole(cfg.reps)),
         };
+        let result = campaign
+            .run_from(cfg.threads, from, None, path.as_deref(), victim(cfg.die_seed))
+            .unwrap_or_else(|e| panic!("sweep {i}: {e}"));
         let confidence = result.confidence_total();
         println!(
             "rate {rate:>4}: {} success / {} degraded / {} failed / {} timed out over {} reps \

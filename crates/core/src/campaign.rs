@@ -10,12 +10,14 @@
 //! (virtual-clock) backoff, and an exhausted repetition records a
 //! *partial* outcome — the campaign never panics and never aborts early.
 //!
-//! Long campaigns can **checkpoint** after every repetition
-//! ([`Campaign::run_shard_parallel`] over [`ShardRange::whole`]) and
-//! **resume** from where they were killed
-//! ([`Campaign::resume_parallel`]): because the fault plan is counter-mode
-//! and the telemetry clock is virtual, a resumed campaign's final report
-//! is *byte-identical* to the uninterrupted run's. A per-repetition
+//! Every run goes through one runner, [`Campaign::run_from`], whose
+//! state is a [`Checkpoint`]: a fresh run starts from an empty one
+//! ([`Campaign::fresh`]), a **resume** from one loaded after a kill
+//! ([`Checkpoint::load`]), and a partial run stops at a given rep. With
+//! a path set, the runner saves the checkpoint after every repetition.
+//! Because the fault plan is counter-mode and the telemetry clock is
+//! virtual, a resumed campaign's final report is *byte-identical* to
+//! the uninterrupted run's. A per-repetition
 //! virtual-clock deadline ([`Campaign::deadline_ns`]) bounds how long a
 //! repetition may keep retrying before it records
 //! [`RepStatus::TimedOut`].
@@ -26,11 +28,12 @@
 //!
 //! Repetitions are independent by construction (counter-mode faults, a
 //! fresh victim per attempt, per-rep telemetry on the virtual clock), so
-//! campaigns also run **sharded across threads**
-//! ([`Campaign::run_parallel`] and friends): workers claim reps from a
-//! shared counter and a merger absorbs the results back in rep order,
-//! keeping the report and every checkpoint byte-identical to the
-//! sequential run's for any thread count.
+//! the runner also shards them **across threads**: workers claim reps
+//! from a shared counter and a merger absorbs the results back in rep
+//! order, keeping the report and every checkpoint byte-identical to the
+//! one-worker run's for any thread count. [`Campaign::run`],
+//! [`Campaign::run_parallel`] and [`Campaign::run_shard_parallel`] are
+//! the runner over a fresh checkpoint.
 //!
 //! Million-rep sweeps get their throughput from the SRAM engine. A
 //! treatment that keeps or loses every cell resolves nothing: a clean
@@ -446,34 +449,6 @@ pub struct Checkpoint {
     pub recorder: Recorder,
 }
 
-/// Renders a checkpoint from borrowed campaign state, sealing a CRC-64
-/// over the payload's compact rendering as the trailing `crc64` key.
-/// The checkpointing loops call this directly so writing a checkpoint
-/// after every repetition never clones the accumulated records.
-fn render_checkpoint(
-    fault_seed: u64,
-    reps: u64,
-    shard: ShardRange,
-    next_rep: u64,
-    records: &[RepRecord],
-    recorder: &Recorder,
-) -> String {
-    let payload = json::Value::object(vec![
-        ("voltboot_checkpoint", json::Value::from(CHECKPOINT_VERSION)),
-        ("fault_seed", json::Value::from(fault_seed)),
-        ("reps", json::Value::from(reps)),
-        ("shard_start", json::Value::from(shard.start)),
-        ("shard_end", json::Value::from(shard.end)),
-        ("next_rep", json::Value::from(next_rep)),
-        ("records", json::Value::Array(records.iter().map(RepRecord::to_value).collect())),
-        ("recorder", recorder.to_value()),
-    ]);
-    let crc = recover::crc64(payload.render().as_bytes());
-    let json::Value::Object(mut pairs) = payload else { unreachable!("payload is an object") };
-    pairs.push(("crc64".to_string(), json::Value::from(crc)));
-    json::Value::Object(pairs).render_pretty()
-}
-
 /// Writes `contents` to `path` atomically where the platform allows:
 /// the bytes land in a `.tmp` sibling first and are renamed over the
 /// destination, so a process killed mid-write (the crash window a
@@ -493,33 +468,21 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes a checkpoint assembled from borrowed campaign state to `path`.
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    path: &Path,
-    fault_seed: u64,
-    reps: u64,
-    shard: ShardRange,
-    next_rep: u64,
-    records: &[RepRecord],
-    recorder: &Recorder,
-) -> Result<(), CampaignError> {
-    write_atomic(path, &render_checkpoint(fault_seed, reps, shard, next_rep, records, recorder))
-        .map_err(CampaignError::Io)
-}
-
 impl Checkpoint {
-    /// Renders the checkpoint, sealing a CRC-64 over the payload's
-    /// compact rendering as the trailing `crc64` key.
+    /// Renders the checkpoint, sealed by [`recover::seal`]: a CRC-64
+    /// over the payload's compact rendering as the trailing `crc64` key.
     pub fn to_json(&self) -> String {
-        render_checkpoint(
-            self.fault_seed,
-            self.reps,
-            self.shard,
-            self.next_rep,
-            &self.records,
-            &self.recorder,
-        )
+        recover::seal(vec![
+            ("voltboot_checkpoint", json::Value::from(CHECKPOINT_VERSION)),
+            ("fault_seed", json::Value::from(self.fault_seed)),
+            ("reps", json::Value::from(self.reps)),
+            ("shard_start", json::Value::from(self.shard.start)),
+            ("shard_end", json::Value::from(self.shard.end)),
+            ("next_rep", json::Value::from(self.next_rep)),
+            ("records", json::Value::Array(self.records.iter().map(RepRecord::to_value).collect())),
+            ("recorder", self.recorder.to_value()),
+        ])
+        .render_pretty()
     }
 
     /// Parses and verifies a checkpoint rendered by
@@ -530,31 +493,8 @@ impl Checkpoint {
     /// [`CampaignError::Corrupt`] on a parse failure, checksum mismatch,
     /// unknown version, or structural problem.
     pub fn from_json(input: &str) -> Result<Checkpoint, CampaignError> {
-        let v = parse::parse(input)?;
-        let pairs = v.as_object().ok_or_else(|| CampaignError::Corrupt {
-            detail: "checkpoint must be a JSON object".into(),
-        })?;
-        let mut payload_pairs = Vec::new();
-        let mut sealed = None;
-        for (k, val) in pairs {
-            if k == "crc64" {
-                sealed = val.as_u64();
-            } else {
-                payload_pairs.push((k.clone(), val.clone()));
-            }
-        }
-        let sealed = sealed.ok_or_else(|| CampaignError::Corrupt {
-            detail: "checkpoint missing its crc64 seal".into(),
-        })?;
-        let payload = json::Value::Object(payload_pairs);
-        let actual = recover::crc64(payload.render().as_bytes());
-        if actual != sealed {
-            return Err(CampaignError::Corrupt {
-                detail: format!(
-                    "checksum mismatch: sealed {sealed:#018x}, payload hashes to {actual:#018x}"
-                ),
-            });
-        }
+        let payload = recover::unseal(parse::parse(input)?)
+            .map_err(|detail| CampaignError::Corrupt { detail })?;
         let field = |k: &str| {
             payload.get(k).and_then(json::Value::as_u64).ok_or_else(|| CampaignError::Corrupt {
                 detail: format!("checkpoint field {k} must be a u64"),
@@ -726,7 +666,7 @@ impl Campaign {
     }
 
     /// Attaches a live progress counter: the runner adds one for every
-    /// completed (sequential) or merged (parallel) repetition. The
+    /// merged repetition, and a resumed checkpoint's count up front. The
     /// counter is a relaxed atomic and advisory — it feeds progress
     /// lines, never reports — so observing a campaign cannot perturb its
     /// deterministic output.
@@ -735,9 +675,16 @@ impl Campaign {
         self
     }
 
-    fn note_rep_done(&self) {
-        if let Some(p) = &self.progress {
-            p.fetch_add(1, Ordering::Relaxed);
+    /// An empty checkpoint over `shard`: where a fresh run of those
+    /// repetitions starts.
+    pub fn fresh(&self, shard: ShardRange) -> Checkpoint {
+        Checkpoint {
+            fault_seed: self.plan.seed(),
+            reps: self.reps,
+            shard,
+            next_rep: shard.start,
+            records: Vec::new(),
+            recorder: Recorder::new(),
         }
     }
 
@@ -748,146 +695,37 @@ impl Campaign {
     ///
     /// Never panics on attempt failures: a repetition whose attempts are
     /// exhausted records a partial outcome and the campaign moves on.
+    /// This is the runner's one-worker path over a fresh whole-campaign
+    /// checkpoint; unlike [`Campaign::run_from`] it takes an `FnMut`
+    /// victim, since no other thread calls it.
     pub fn run(&self, victim: impl FnMut(u64) -> Soc) -> CampaignResult {
-        self.run_range(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            None,
-            victim,
-        )
-        .expect("no checkpoint configured, no i/o to fail")
+        self.run_one_worker(self.fresh(ShardRange::whole(self.reps)), self.reps, None, victim)
+            .expect("no checkpoint path, no i/o to fail")
     }
 
-    /// Loads the checkpoint at `path` and validates it against this
-    /// campaign's configuration (for [`Campaign::resume_parallel`]).
-    /// Whole-campaign resume refuses a shard checkpoint: a shard covers
-    /// only its slice and must go through
-    /// [`Campaign::resume_shard_parallel`] / [`merge_shards`].
-    fn load_validated(&self, path: &Path) -> Result<Checkpoint, CampaignError> {
-        let cp = self.load_validated_shard(path)?;
-        if cp.shard != ShardRange::whole(self.reps) {
-            return Err(CampaignError::Mismatch {
-                detail: format!(
-                    "checkpoint covers shard {} of {} reps; resume it with \
-                     resume_shard_parallel or merge it with merge_shards",
-                    cp.shard, self.reps
-                ),
-            });
-        }
-        Ok(cp)
-    }
-
-    /// [`Campaign::load_validated`] without the whole-range requirement:
-    /// seed and rep count must match, the shard header may cover any
-    /// sub-range.
-    fn load_validated_shard(&self, path: &Path) -> Result<Checkpoint, CampaignError> {
-        let cp = Checkpoint::load(path)?;
-        if cp.fault_seed != self.plan.seed() {
-            return Err(CampaignError::Mismatch {
-                detail: format!(
-                    "fault seed {} in checkpoint, {} in campaign",
-                    cp.fault_seed,
-                    self.plan.seed()
-                ),
-            });
-        }
-        if cp.reps != self.reps {
-            return Err(CampaignError::Mismatch {
-                detail: format!("{} reps in checkpoint, {} in campaign", cp.reps, self.reps),
-            });
-        }
-        Ok(cp)
-    }
-
-    /// The sequential runner: executes repetitions `start..end`,
-    /// checkpointing each completed prefix under the `shard` header.
-    /// `shard` is the range this process *owns* (what the checkpoint
-    /// advertises); `end` may stop short of `shard.end` for partial
-    /// runs.
-    #[allow(clippy::too_many_arguments)]
-    fn run_range(
-        &self,
-        shard: ShardRange,
-        start: u64,
-        end: u64,
-        mut records: Vec<RepRecord>,
-        rec: Recorder,
-        checkpoint: Option<&Path>,
-        mut victim: impl FnMut(u64) -> Soc,
-    ) -> Result<CampaignResult, CampaignError> {
-        // Cap the pre-allocation: `reps` is attacker-controlled config
-        // and a huge ask must not allocate gigabytes up front.
-        records.reserve(((end - start).min(1024)) as usize);
-        for rep in start..end {
-            records.push(self.run_rep_contained(rep, &rec, &mut victim));
-            self.note_rep_done();
-            if let Some(path) = checkpoint {
-                save_checkpoint(path, self.plan.seed(), self.reps, shard, rep + 1, &records, &rec)?;
-            }
-        }
-        Ok(CampaignResult { plan: self.plan, reps: self.reps, records, recorder: rec })
-    }
-
-    /// Runs the campaign with repetitions sharded across `threads`
-    /// worker threads.
-    ///
-    /// The scheduler is deterministic end-to-end, whatever the thread
-    /// count: each repetition draws its faults from the counter-mode
-    /// plan's per-rep sub-stream ([`FaultPlan::rep_stream`]), records
-    /// telemetry into a forked virtual-clock sub-recorder
-    /// (`Recorder::fork`), and the merger absorbs completed repetitions
-    /// strictly in rep order — so the returned [`CampaignResult`] and
-    /// its JSON report are **byte-identical** to [`Campaign::run`]'s.
-    /// `threads <= 1` runs the sequential path.
-    ///
-    /// `victim` is called concurrently from several workers; like the
-    /// sequential path it must be a pure function of the rep index for
-    /// the campaign to be deterministic.
+    /// [`Campaign::run`] with repetitions sharded across `threads`
+    /// worker threads: [`Campaign::run_from`] over a fresh whole-campaign
+    /// checkpoint, saving nothing. The report is byte-identical to
+    /// [`Campaign::run`]'s.
     pub fn run_parallel(
         &self,
         threads: usize,
         victim: impl Fn(u64) -> Soc + Sync,
     ) -> CampaignResult {
-        self.run_range_parallel(
-            ShardRange::whole(self.reps),
-            0,
-            self.reps,
-            Vec::new(),
-            Recorder::new(),
-            None,
-            threads,
-            &victim,
-        )
-        .expect("no checkpoint configured, no i/o to fail")
+        self.run_from(threads, self.fresh(ShardRange::whole(self.reps)), None, None, victim)
+            .expect("a fresh checkpoint matches its campaign, and no path means no i/o")
     }
 
-    /// Runs only the repetitions in `shard` — one process's slice of a
-    /// campaign distributed across several processes — checkpointing to
-    /// `path` with the shard-range header after every merged rep. The
-    /// returned result covers just this shard; a full set of shard
-    /// checkpoints recombines through [`merge_shards`] into a report
-    /// byte-identical to one sequential [`Campaign::run`] over the whole
-    /// campaign.
-    ///
-    /// Determinism needs nothing beyond what the single-process
-    /// scheduler already guarantees: the fault plan is counter-mode (a
-    /// rep's draws depend only on its index) and every rep records into
-    /// a fork of a fresh recorder, so a shard's merged telemetry equals
-    /// the sequential recorder state for exactly those reps.
-    ///
-    /// Over [`ShardRange::whole`] this is the checkpointed whole
-    /// campaign, which [`Campaign::resume_parallel`] resumes after a
-    /// kill. Only fully-merged rep prefixes are ever checkpointed, so a
-    /// checkpoint written by an N-thread run resumes correctly under any
-    /// thread count — in-flight reps simply re-run.
+    /// Runs only the repetitions in `shard`, from scratch, saving the
+    /// checkpoint to `path` after every merged rep (overwriting what
+    /// `path` held): [`Campaign::run_from`] over a fresh checkpoint. A
+    /// full set of shard checkpoints recombines through
+    /// [`merge_shards`] into a report byte-identical to one
+    /// [`Campaign::run`] over the whole campaign.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Mismatch`] when `shard` is not a sub-range of
-    /// `[0, reps)`; [`CampaignError::Io`] when a checkpoint write fails.
+    /// As [`Campaign::run_from`].
     pub fn run_shard_parallel(
         &self,
         threads: usize,
@@ -895,6 +733,62 @@ impl Campaign {
         path: impl AsRef<Path>,
         victim: impl Fn(u64) -> Soc + Sync,
     ) -> Result<CampaignResult, CampaignError> {
+        self.run_from(threads, self.fresh(shard), None, Some(path.as_ref()), victim)
+    }
+
+    /// The campaign runner. Its state is a [`Checkpoint`]: a fresh run
+    /// starts from [`Campaign::fresh`], a resume from
+    /// [`Checkpoint::load`]. It runs repetitions `from.next_rep` up to
+    /// the end of `from.shard`, or up to `stop` when that comes first
+    /// (a partial run, as a killed process leaves it), and returns the
+    /// checkpoint's final records and telemetry.
+    ///
+    /// After every merged rep one commit step runs: absorb the worker's
+    /// sub-recorder, push the record, tick the [`Campaign::observe`]
+    /// counter, and save the checkpoint to `path` if one is set. Only
+    /// fully-merged rep prefixes are saved, so a checkpoint written at
+    /// one thread count resumes under any other; in-flight reps simply
+    /// re-run. A resumed checkpoint's reps are credited to the
+    /// progress counter before the first new rep runs.
+    ///
+    /// The scheduler is deterministic whatever `threads` says: each
+    /// rep draws its faults from the counter-mode plan's per-rep
+    /// sub-stream ([`FaultPlan::rep_stream`]) and records into a forked
+    /// virtual-clock sub-recorder (`Recorder::fork`) that the merger
+    /// absorbs strictly in rep order, so the result, its report and
+    /// every saved checkpoint are **byte-identical** to the one-worker
+    /// path's, which records straight into the checkpoint's recorder.
+    /// `victim` is called concurrently and must be a pure function of
+    /// the rep index.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Mismatch`] when `from`'s fault seed or rep count
+    /// differs from this campaign's or its shard is not a sub-range of
+    /// `[0, reps)`; [`CampaignError::Io`] when a checkpoint save fails.
+    pub fn run_from(
+        &self,
+        threads: usize,
+        from: Checkpoint,
+        stop: Option<u64>,
+        path: Option<&Path>,
+        victim: impl Fn(u64) -> Soc + Sync,
+    ) -> Result<CampaignResult, CampaignError> {
+        if from.fault_seed != self.plan.seed() {
+            return Err(CampaignError::Mismatch {
+                detail: format!(
+                    "fault seed {} in checkpoint, {} in campaign",
+                    from.fault_seed,
+                    self.plan.seed()
+                ),
+            });
+        }
+        if from.reps != self.reps {
+            return Err(CampaignError::Mismatch {
+                detail: format!("{} reps in checkpoint, {} in campaign", from.reps, self.reps),
+            });
+        }
+        let shard = from.shard;
         if shard.start > shard.end || shard.end > self.reps {
             return Err(CampaignError::Mismatch {
                 detail: format!(
@@ -903,158 +797,100 @@ impl Campaign {
                 ),
             });
         }
-        self.run_range_parallel(
-            shard,
-            shard.start,
-            shard.end,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
+        if let Some(p) = &self.progress {
+            p.fetch_add(from.records.len() as u64, Ordering::Relaxed);
+        }
+        let end = stop.map_or(shard.end, |stop| stop.min(shard.end));
+        let pending = end.saturating_sub(from.next_rep);
+        let workers = threads.clamp(1, pending.clamp(1, 1024) as usize);
+        if workers <= 1 {
+            return self.run_one_worker(from, end, path, victim);
+        }
+        self.run_workers(workers, from, end, path, &victim)
     }
 
-    /// Runs only the first `upto` repetitions *of the shard* (clamped
-    /// to the shard's length) and leaves the checkpoint behind — a
-    /// shard process killed mid-range in miniature, for the kill/resume
-    /// tests and the `shard` worker's crash hooks.
-    ///
-    /// # Errors
-    ///
-    /// As [`Campaign::run_shard_parallel`].
-    pub fn run_shard_partial_parallel(
+    /// The commit step that follows every merged rep (see
+    /// [`Campaign::run_from`]). `sub` is the worker's sub-recorder; the
+    /// one-worker path recorded in place and passes none.
+    fn commit(
         &self,
-        threads: usize,
-        shard: ShardRange,
-        upto: u64,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
+        cp: &mut Checkpoint,
+        record: RepRecord,
+        sub: Option<&Recorder>,
+        path: Option<&Path>,
     ) -> Result<(), CampaignError> {
-        if shard.start > shard.end || shard.end > self.reps {
-            return Err(CampaignError::Mismatch {
-                detail: format!(
-                    "shard {shard} is not a sub-range of this campaign's [0, {})",
-                    self.reps
-                ),
-            });
+        if let Some(sub) = sub {
+            cp.recorder.absorb(sub);
         }
-        let end = shard.start.saturating_add(upto).min(shard.end);
-        self.run_range_parallel(
-            shard,
-            shard.start,
-            end,
-            Vec::new(),
-            Recorder::new(),
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-        .map(|_| ())
+        cp.records.push(record);
+        cp.next_rep += 1;
+        if let Some(p) = &self.progress {
+            p.fetch_add(1, Ordering::Relaxed);
+        }
+        path.map_or(Ok(()), |path| cp.save(path))
     }
 
-    /// Resumes a killed shard run from its checkpoint and completes the
-    /// shard's range (the shard analogue of [`Campaign::resume_parallel`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Campaign::resume_parallel`], except a shard header is
-    /// accepted.
-    pub fn resume_shard_parallel(
+    /// The runner's one-worker path: every rep records straight into
+    /// the checkpoint's recorder, with no fork or absorb. It is the
+    /// reference the worker pool is held to.
+    fn run_one_worker(
         &self,
-        threads: usize,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
+        mut cp: Checkpoint,
+        end: u64,
+        path: Option<&Path>,
+        mut victim: impl FnMut(u64) -> Soc,
     ) -> Result<CampaignResult, CampaignError> {
-        let cp = self.load_validated_shard(path.as_ref())?;
-        self.run_range_parallel(
-            cp.shard,
-            cp.next_rep,
-            cp.shard.end,
-            cp.records,
-            cp.recorder,
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
+        // Cap the pre-allocation: `reps` is attacker-controlled config
+        // and a huge ask must not allocate gigabytes up front.
+        cp.records.reserve(end.saturating_sub(cp.next_rep).min(1024) as usize);
+        while cp.next_rep < end {
+            let record = self.run_rep_contained(cp.next_rep, &cp.recorder, &mut victim);
+            self.commit(&mut cp, record, None, path)?;
+        }
+        Ok(CampaignResult {
+            plan: self.plan,
+            reps: self.reps,
+            records: cp.records,
+            recorder: cp.recorder,
+        })
     }
 
-    /// Resumes a campaign from the checkpoint at `path` and runs it to
-    /// completion across `threads` workers, checkpointing onward as it
-    /// goes. The resumed run's final report is byte-identical to what
-    /// the uninterrupted run would have produced: the fault plan is
-    /// counter-mode (no stream state to lose) and the checkpoint
-    /// restores the full telemetry state including the virtual clock.
-    /// Checkpoints compose across thread counts: the checkpoint stores
-    /// only the merged rep prefix plus the absorbed telemetry, which is
-    /// the same state the sequential runner would have at that rep.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Mismatch`] when the checkpoint's seed or rep
-    /// count disagrees with this campaign, or it covers only a shard;
-    /// [`CampaignError::Corrupt`] / [`CampaignError::Io`] for unloadable
-    /// checkpoints.
-    pub fn resume_parallel(
-        &self,
-        threads: usize,
-        path: impl AsRef<Path>,
-        victim: impl Fn(u64) -> Soc + Sync,
-    ) -> Result<CampaignResult, CampaignError> {
-        let cp = self.load_validated(path.as_ref())?;
-        self.run_range_parallel(
-            cp.shard,
-            cp.next_rep,
-            self.reps,
-            cp.records,
-            cp.recorder,
-            Some(path.as_ref()),
-            threads,
-            &victim,
-        )
-    }
-
-    /// The parallel scheduler behind the `*_parallel` entry points.
+    /// The runner's worker pool.
     ///
     /// Workers claim repetition indices from a shared atomic counter
     /// (work stealing in its simplest form: a fast rep frees its worker
     /// to claim the next one immediately), run each claimed rep against
     /// a forked sub-recorder, and post `(rep, record, sub)` into a
-    /// results map. The calling thread is the merger: it absorbs
+    /// results map. The calling thread is the merger: it commits
     /// results strictly in rep order, which rebuilds the exact counter,
-    /// event, and clock state the sequential loop would have — and
-    /// checkpoints each newly merged prefix.
+    /// event, and clock state the one-worker path would have.
     ///
     /// Worker panics cannot deadlock the merger: a drop guard
     /// decrements the live-worker count and wakes the merger, which
     /// stops waiting for reps that will never arrive and lets the scope
-    /// propagate the panic.
-    #[allow(clippy::too_many_arguments)]
-    fn run_range_parallel(
+    /// propagate the panic. A failed save stops the hand-out of new
+    /// reps; workers finish what they claimed and the error returns.
+    fn run_workers(
         &self,
-        shard: ShardRange,
-        start: u64,
+        workers: usize,
+        mut cp: Checkpoint,
         end: u64,
-        mut records: Vec<RepRecord>,
-        rec: Recorder,
-        checkpoint: Option<&Path>,
-        threads: usize,
+        path: Option<&Path>,
         victim: &(impl Fn(u64) -> Soc + Sync),
     ) -> Result<CampaignResult, CampaignError> {
-        let pending = end.saturating_sub(start);
-        let workers = threads.clamp(1, pending.clamp(1, 1024) as usize);
-        if workers <= 1 {
-            return self.run_range(shard, start, end, records, rec, checkpoint, victim);
-        }
-        records.reserve((pending.min(1024)) as usize);
+        cp.records.reserve(end.saturating_sub(cp.next_rep).min(1024) as usize);
         // Rep-level and word-level parallelism share one conceptual
         // pool: each worker's inner fan-out gets an equal slice of the
         // machine instead of multiplying it.
         let inner_budget = (par::thread_count() / workers).max(1);
-        let next = AtomicU64::new(start);
+        let next = AtomicU64::new(cp.next_rep);
         let state = Mutex::new(MergeState { ready: BTreeMap::new(), live_workers: workers });
         let merged_one = Condvar::new();
-        let mut save_err: Option<CampaignError> = None;
+        // A handle on the checkpoint's recorder for the workers to fork
+        // from (a fork reads only its retention caps), so the merger
+        // keeps the checkpoint to itself.
+        let root = cp.recorder.clone();
+        let mut saved = Ok(());
         // Scheduler-lock discipline: every acquisition recovers from
         // poisoning (`MergeState` is a map insert plus a counter, both
         // consistent at any panic point). A long-running daemon cannot
@@ -1071,7 +907,7 @@ impl Campaign {
                         if rep >= end {
                             break;
                         }
-                        let sub = rec.fork();
+                        let sub = root.fork();
                         let record = par::with_budget(inner_budget, || {
                             self.run_rep_contained(rep, &sub, &mut |r| victim(r))
                         });
@@ -1081,12 +917,11 @@ impl Campaign {
                     }
                 });
             }
-            let mut merged = start;
-            while merged < end {
+            while cp.next_rep < end {
                 let entry = {
                     let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                     loop {
-                        if let Some(e) = st.ready.remove(&merged) {
+                        if let Some(e) = st.ready.remove(&cp.next_rep) {
                             break Some(e);
                         }
                         if st.live_workers == 0 {
@@ -1100,43 +935,27 @@ impl Campaign {
                     // merging and let the scope propagate its panic.
                     break;
                 };
-                rec.absorb(&sub);
-                records.push(record);
-                merged += 1;
-                self.note_rep_done();
-                if save_err.is_none() {
-                    if let Some(path) = checkpoint {
-                        save_err = save_checkpoint(
-                            path,
-                            self.plan.seed(),
-                            self.reps,
-                            shard,
-                            merged,
-                            &records,
-                            &rec,
-                        )
-                        .err();
-                        if save_err.is_some() {
-                            // Checkpointing broke: stop handing out new
-                            // reps (workers drain what they claimed) and
-                            // report the error, like the sequential path.
-                            next.store(end, Ordering::Relaxed);
-                        }
-                    }
+                saved = self.commit(&mut cp, record, Some(&sub), path);
+                if saved.is_err() {
+                    next.store(end, Ordering::Relaxed);
+                    break;
                 }
             }
         });
-        if let Some(e) = save_err {
-            return Err(e);
-        }
-        Ok(CampaignResult { plan: self.plan, reps: self.reps, records, recorder: rec })
+        saved?;
+        Ok(CampaignResult {
+            plan: self.plan,
+            reps: self.reps,
+            records: cp.records,
+            recorder: cp.recorder,
+        })
     }
 
     /// [`Campaign::run_rep`] with panic containment: a repetition whose
     /// attack, victim factory, or telemetry panics becomes a
     /// [`RepStatus::Failed`] record carrying the panic message — the
     /// campaign (and the daemon above it) keeps running. Containment is
-    /// applied on the sequential path and inside every parallel worker
+    /// applied on the one-worker path and inside every pool worker
     /// alike, so a deterministic panic degrades the same rep to the
     /// same record at any thread count and reports stay byte-identical.
     fn run_rep_contained(

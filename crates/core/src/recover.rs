@@ -11,7 +11,8 @@
 //!   [`crate::attack::ExtractedImage`] at readout and re-verified at
 //!   analysis/report time, so silent corruption between extraction and
 //!   reporting surfaces as a typed [`IntegrityError`] instead of a
-//!   wrong table entry;
+//!   wrong table entry, and sealed into every campaign checkpoint and
+//!   daemon journal line by one pair, [`seal`] and [`unseal`];
 //! * per-bit **majority voting** across repeated readout passes
 //!   ([`vote`]), with dropped-out passes treated as *erasures* (absent
 //!   votes) rather than all-zero reads;
@@ -21,6 +22,7 @@
 //!   accounting.
 
 use voltboot_sram::PackedBits;
+use voltboot_telemetry::json;
 
 /// Maximum voting passes [`vote`] accepts (the per-bit counters are
 /// four planes wide).
@@ -134,6 +136,47 @@ pub fn crc64_bits(bits: &PackedBits) -> u64 {
         }
     }
     !crc
+}
+
+/// Seals a JSON object as campaign checkpoints and journal lines are
+/// sealed: a trailing `crc64` key holds the [`crc64`] of the compact
+/// rendering of every preceding key.
+pub fn seal(pairs: Vec<(&str, json::Value)>) -> json::Value {
+    let payload = json::Value::object(pairs);
+    let crc = crc64(payload.render().as_bytes());
+    let json::Value::Object(mut pairs) = payload else { unreachable!("payload is an object") };
+    pairs.push(("crc64".to_string(), json::Value::from(crc)));
+    json::Value::Object(pairs)
+}
+
+/// Checks a document [`seal`] produced and returns its payload, the
+/// object without its `crc64` key.
+///
+/// # Errors
+///
+/// What is wrong, when `doc` is not an object, carries no `crc64` key,
+/// or its payload does not hash to the sealed value.
+pub fn unseal(doc: json::Value) -> Result<json::Value, String> {
+    let json::Value::Object(mut pairs) = doc else {
+        return Err("not a JSON object".to_string());
+    };
+    let mut sealed = None;
+    pairs.retain(|(k, v)| {
+        let seal = k == "crc64";
+        if seal {
+            sealed = v.as_u64();
+        }
+        !seal
+    });
+    let sealed = sealed.ok_or("missing its crc64 seal")?;
+    let payload = json::Value::Object(pairs);
+    let actual = crc64(payload.render().as_bytes());
+    if actual != sealed {
+        return Err(format!(
+            "checksum mismatch: sealed {sealed:#018x}, payload hashes to {actual:#018x}"
+        ));
+    }
+    Ok(payload)
 }
 
 // ----------------------------------------------------------------------

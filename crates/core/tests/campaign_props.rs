@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RetryPolicy, ShardRange};
+use voltboot::campaign::{Campaign, Checkpoint, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot::telemetry::{export, json, parse};
 use voltboot_armlite::program::builders;
@@ -154,12 +154,17 @@ proptest! {
             std::process::id()
         ));
 
-        campaign.run_shard_partial_parallel(4, ShardRange::whole(reps), k, &path, victim).unwrap();
-        let resumed_seq = campaign.resume_parallel(1, &path, victim).unwrap().to_json();
+        let fresh = || campaign.fresh(ShardRange::whole(reps));
+        let resume = |threads| {
+            let from = Checkpoint::load(&path).unwrap();
+            campaign.run_from(threads, from, None, Some(&path), victim).unwrap().to_json()
+        };
+        campaign.run_from(4, fresh(), Some(k), Some(&path), victim).unwrap();
+        let resumed_seq = resume(1);
         prop_assert_eq!(&resumed_seq, &want, "4-thread checkpoint, 1-thread resume");
 
-        campaign.run_shard_partial_parallel(1, ShardRange::whole(reps), k, &path, victim).unwrap();
-        let resumed_par = campaign.resume_parallel(4, &path, victim).unwrap().to_json();
+        campaign.run_from(1, fresh(), Some(k), Some(&path), victim).unwrap();
+        let resumed_par = resume(4);
         prop_assert_eq!(&resumed_par, &want, "1-thread checkpoint, 4-thread resume");
         std::fs::remove_file(&path).ok();
     }

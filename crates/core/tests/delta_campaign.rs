@@ -21,7 +21,9 @@
 //! sequentially in here.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{merge_shards, Campaign, CampaignResult, RetryPolicy, ShardRange};
+use voltboot::campaign::{
+    merge_shards, Campaign, CampaignResult, Checkpoint, RetryPolicy, ShardRange,
+};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot::recover::crc64_bits;
 use voltboot::telemetry::{export, metrics};
@@ -94,9 +96,14 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
     clear_plane_cache();
     let want = campaign.run(victim).to_json();
     let p_off = temp("off");
-    campaign.run_shard_partial_parallel(1, ShardRange::whole(6), 3, &p_off, victim).unwrap();
+    campaign
+        .run_from(1, campaign.fresh(ShardRange::whole(6)), Some(3), Some(&p_off), victim)
+        .unwrap();
     let want_cp = std::fs::read_to_string(&p_off).unwrap();
-    let resumed_off = campaign.resume_parallel(1, &p_off, victim).unwrap().to_json();
+    let resumed_off = campaign
+        .run_from(1, Checkpoint::load(&p_off).unwrap(), None, Some(&p_off), victim)
+        .unwrap()
+        .to_json();
     assert_eq!(resumed_off, want, "dense kill/resume must reproduce the dense report");
 
     // ---- Delta on: every execution shape must byte-match. ----
@@ -115,10 +122,15 @@ fn delta_campaigns_byte_match_full_campaigns_everywhere() {
     // Kill at rep 3, byte-compare the checkpoint itself, then resume
     // under a different thread count.
     let p_on = temp("on");
-    campaign.run_shard_partial_parallel(1, ShardRange::whole(6), 3, &p_on, victim).unwrap();
+    campaign
+        .run_from(1, campaign.fresh(ShardRange::whole(6)), Some(3), Some(&p_on), victim)
+        .unwrap();
     let got_cp = std::fs::read_to_string(&p_on).unwrap();
     assert_eq!(got_cp, want_cp, "delta-path checkpoint must byte-match the dense checkpoint");
-    let resumed_on = campaign.resume_parallel(2, &p_on, victim).unwrap().to_json();
+    let resumed_on = campaign
+        .run_from(2, Checkpoint::load(&p_on).unwrap(), None, Some(&p_on), victim)
+        .unwrap()
+        .to_json();
     assert_eq!(resumed_on, want, "delta kill/resume across thread counts");
 
     // Shard halves (separate checkpoints, as separate processes would

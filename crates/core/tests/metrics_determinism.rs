@@ -10,7 +10,7 @@
 //! than racing other tests' observations.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, RetryPolicy, ShardRange};
+use voltboot::campaign::{Campaign, Checkpoint, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -53,10 +53,13 @@ fn deterministic_surface(tag: &str) -> Vec<String> {
 
     let path = checkpoint_path(tag);
     campaign
-        .run_shard_partial_parallel(1, ShardRange::whole(5), 3, &path, victim)
+        .run_from(1, campaign.fresh(ShardRange::whole(5)), Some(3), Some(&path), victim)
         .expect("partial run");
     let checkpoint = std::fs::read_to_string(&path).expect("read checkpoint");
-    let resumed = campaign.resume_parallel(1, &path, victim).expect("resume").to_json();
+    let resumed = campaign
+        .run_from(1, Checkpoint::load(&path).unwrap(), None, Some(&path), victim)
+        .expect("resume")
+        .to_json();
     std::fs::remove_file(&path).ok();
 
     let parallel = campaign.run_parallel(4, victim).to_json();

@@ -7,7 +7,7 @@
 //! `campaign_props.rs`; these run everywhere.
 
 use voltboot::attack::VoltBootAttack;
-use voltboot::campaign::{Campaign, CampaignError, RetryPolicy, ShardRange};
+use voltboot::campaign::{Campaign, CampaignError, Checkpoint, RetryPolicy, ShardRange};
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
 use voltboot_soc::{devices, Soc};
@@ -72,17 +72,29 @@ fn checkpoints_resume_across_thread_counts() {
     let path = temp("cross");
 
     // Killed at rep 2 by a 4-thread run, resumed sequentially.
-    campaign.run_shard_partial_parallel(4, ShardRange::whole(4), 2, &path, victim).unwrap();
-    let a = campaign.resume_parallel(1, &path, victim).unwrap().to_json();
+    campaign
+        .run_from(4, campaign.fresh(ShardRange::whole(4)), Some(2), Some(&path), victim)
+        .unwrap();
+    let a = campaign
+        .run_from(1, Checkpoint::load(&path).unwrap(), None, Some(&path), victim)
+        .unwrap()
+        .to_json();
     assert_eq!(a, want, "4-thread checkpoint must resume sequentially with no drift");
 
     // Killed at rep 2 by a sequential run, resumed with 4 threads.
-    campaign.run_shard_partial_parallel(1, ShardRange::whole(4), 2, &path, victim).unwrap();
-    let b = campaign.resume_parallel(4, &path, victim).unwrap().to_json();
+    campaign
+        .run_from(1, campaign.fresh(ShardRange::whole(4)), Some(2), Some(&path), victim)
+        .unwrap();
+    let b = campaign
+        .run_from(4, Checkpoint::load(&path).unwrap(), None, Some(&path), victim)
+        .unwrap()
+        .to_json();
     assert_eq!(b, want, "sequential checkpoint must resume under 4 threads with no drift");
 
     // The parallel path applies the same checkpoint validation.
-    let err = make(8, 4).resume_parallel(2, &path, victim).unwrap_err();
+    let err = make(8, 4)
+        .run_from(2, Checkpoint::load(&path).unwrap(), None, Some(&path), victim)
+        .unwrap_err();
     assert!(matches!(err, CampaignError::Mismatch { .. }), "got {err:?}");
     std::fs::remove_file(&path).ok();
 }

@@ -14,7 +14,7 @@
 
 use voltboot::attack::VoltBootAttack;
 use voltboot::campaign::{
-    merge_shards, Campaign, CampaignError, RepStatus, RetryPolicy, ShardRange,
+    merge_shards, Campaign, CampaignError, Checkpoint, RepStatus, RetryPolicy, ShardRange,
 };
 use voltboot::fault::{FaultPlan, FaultRates};
 use voltboot_armlite::program::builders;
@@ -86,7 +86,9 @@ fn merge_rejects_gaps_overlaps_and_incomplete_shards() {
     let partial = temp("val_partial");
     let mid = temp("val_mid");
     // Whole-range header, next_rep = 1.
-    campaign.run_shard_partial_parallel(1, ShardRange::whole(6), 1, &partial, victim).unwrap();
+    campaign
+        .run_from(1, campaign.fresh(ShardRange::whole(6)), Some(1), Some(&partial), victim)
+        .unwrap();
     campaign.run_shard_parallel(1, ShardRange { start: 2, end: 4 }, &mid, victim).unwrap();
     assert!(matches!(merge_shards(&[&partial]), Err(CampaignError::Mismatch { .. })));
 
@@ -107,7 +109,8 @@ fn shards_resume_after_being_killed() {
     // The high shard writes its checkpoint, then the "process" is
     // killed and a fresh one resumes from the file alone.
     campaign.run_shard_parallel(2, ShardRange { start: 3, end: 6 }, &hi, victim).unwrap();
-    let resumed = campaign.resume_shard_parallel(4, &hi, victim).unwrap();
+    let resumed =
+        campaign.run_from(4, Checkpoint::load(&hi).unwrap(), None, Some(&hi), victim).unwrap();
     assert_eq!(resumed.records.len(), 3, "resuming a finished shard re-runs nothing");
 
     let merged = merge_shards(&[&lo, &hi]).unwrap();

@@ -41,7 +41,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use voltboot::campaign::{merge_shards, ShardRange};
+use voltboot::campaign::{merge_shards, Checkpoint, ShardRange};
 use voltboot_server::{Server, ServerOptions, SweepSpec};
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -136,45 +136,33 @@ fn shard(args: &[String]) -> i32 {
     let campaign = spec.campaign();
     let range = ShardRange { start, end };
 
-    // Test/CI fault hooks — see the module docs. Gated on the
-    // checkpoint *not* existing so an injected failure fires only on a
-    // shard's first attempt and the supervisor's retry can succeed.
+    // Test/CI fault hooks — see the module docs. The *_ONCE hooks are
+    // gated on the checkpoint *not* existing so an injected failure
+    // fires only on a shard's first attempt and the supervisor's retry
+    // can succeed; they stop the run after k reps.
     if std::env::var_os("VOLTBOOT_SHARD_CRASH_ALWAYS").is_some() {
         eprintln!("shard {range}: VOLTBOOT_SHARD_CRASH_ALWAYS, exiting 42");
         return 42;
     }
-    if !checkpoint.exists() {
-        if let Some(k) = env_reps("VOLTBOOT_SHARD_CRASH_ONCE") {
-            let partial = campaign.run_shard_partial_parallel(
-                spec.threads,
-                range,
-                k,
-                &checkpoint,
-                spec.victim(),
-            );
-            eprintln!("shard {range}: VOLTBOOT_SHARD_CRASH_ONCE={k} ({partial:?}), exiting 42");
-            return 42;
-        }
-        if let Some(k) = env_reps("VOLTBOOT_SHARD_HANG_ONCE") {
-            let partial = campaign.run_shard_partial_parallel(
-                spec.threads,
-                range,
-                k,
-                &checkpoint,
-                spec.victim(),
-            );
-            eprintln!("shard {range}: VOLTBOOT_SHARD_HANG_ONCE={k} ({partial:?}), wedging");
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
+    let fresh = !checkpoint.exists();
+    let crash = env_reps("VOLTBOOT_SHARD_CRASH_ONCE").filter(|_| fresh);
+    let hang = env_reps("VOLTBOOT_SHARD_HANG_ONCE").filter(|_| fresh);
+    let stop = crash.or(hang).map(|k| start.saturating_add(k));
+    let from = if fresh { Ok(campaign.fresh(range)) } else { Checkpoint::load(&checkpoint) };
+    let result = from.and_then(|from| {
+        campaign.run_from(spec.threads, from, stop, Some(&checkpoint), spec.victim())
+    });
+    let merged = result.as_ref().map(|result| result.records.len());
+    if let Some(k) = crash {
+        eprintln!("shard {range}: VOLTBOOT_SHARD_CRASH_ONCE={k} (merged {merged:?}), exiting 42");
+        return 42;
+    }
+    if let Some(k) = hang {
+        eprintln!("shard {range}: VOLTBOOT_SHARD_HANG_ONCE={k} (merged {merged:?}), wedging");
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
         }
     }
-
-    let result = if checkpoint.exists() {
-        campaign.resume_shard_parallel(spec.threads, &checkpoint, spec.victim())
-    } else {
-        campaign.run_shard_parallel(spec.threads, range, &checkpoint, spec.victim())
-    };
     match result {
         Ok(result) => {
             println!(

@@ -10,9 +10,9 @@
 //!
 //! # Record format
 //!
-//! One compact JSON object per line, sealed exactly like a campaign
-//! checkpoint: the trailing `crc64` key holds a CRC-64/XZ over the
-//! compact rendering of every preceding key.
+//! One compact JSON object per line, sealed by the same
+//! [`recover::seal`] as a campaign checkpoint: the trailing `crc64` key
+//! holds a CRC-64/XZ over the compact rendering of every preceding key.
 //!
 //! ```text
 //! {"voltboot_journal":1,"seq":0,"event":"submitted","id":1,"spec":"platform=pi4 ...","crc64":123}
@@ -188,29 +188,25 @@ impl Journal {
     }
 }
 
-/// Renders one record line (trailing newline included), sealed with
-/// the same CRC-64-over-compact-payload scheme as checkpoints.
+/// Renders one record line (trailing newline included), sealed by
+/// [`recover::seal`] as checkpoints are.
 fn render_record(seq: u64, event: &JournalEvent) -> String {
     let mut pairs = vec![
-        ("voltboot_journal".to_string(), json::Value::UInt(JOURNAL_VERSION)),
-        ("seq".to_string(), json::Value::UInt(seq)),
-        ("event".to_string(), json::Value::Str(event.token().to_string())),
-        ("id".to_string(), json::Value::UInt(event.id())),
+        ("voltboot_journal", json::Value::UInt(JOURNAL_VERSION)),
+        ("seq", json::Value::UInt(seq)),
+        ("event", json::Value::Str(event.token().to_string())),
+        ("id", json::Value::UInt(event.id())),
     ];
     match event {
         JournalEvent::Submitted { spec, .. } => {
-            pairs.push(("spec".to_string(), json::Value::Str(spec.clone())));
+            pairs.push(("spec", json::Value::Str(spec.clone())));
         }
         JournalEvent::Failed { detail, .. } => {
-            pairs.push(("detail".to_string(), json::Value::Str(detail.clone())));
+            pairs.push(("detail", json::Value::Str(detail.clone())));
         }
         JournalEvent::Started { .. } | JournalEvent::Done { .. } => {}
     }
-    let payload = json::Value::Object(pairs);
-    let crc = recover::crc64(payload.render().as_bytes());
-    let json::Value::Object(mut pairs) = payload else { unreachable!("payload is an object") };
-    pairs.push(("crc64".to_string(), json::Value::UInt(crc)));
-    let mut line = json::Value::Object(pairs).render();
+    let mut line = recover::seal(pairs).render();
     line.push('\n');
     line
 }
@@ -237,21 +233,7 @@ fn replay(bytes: &[u8]) -> (Vec<JournalEvent>, usize) {
 /// Parses and verifies one record line against its expected sequence
 /// number.
 fn parse_record(line: &str, expected_seq: u64) -> Result<JournalEvent, String> {
-    let v = parse::parse(line).map_err(|e| e.to_string())?;
-    let pairs = v.as_object().ok_or("record is not an object")?;
-    let mut payload = Vec::new();
-    let mut sealed = None;
-    for (k, val) in pairs {
-        if k == "crc64" {
-            sealed = val.as_u64();
-        } else {
-            payload.push((k.clone(), val.clone()));
-        }
-    }
-    let sealed = sealed.ok_or("record missing crc64 seal")?;
-    if recover::crc64(json::Value::Object(payload).render().as_bytes()) != sealed {
-        return Err("crc64 mismatch".to_string());
-    }
+    let v = recover::unseal(parse::parse(line).map_err(|e| e.to_string())?)?;
     if v.get("voltboot_journal").and_then(json::Value::as_u64) != Some(JOURNAL_VERSION) {
         return Err("unknown journal version".to_string());
     }

@@ -10,10 +10,11 @@
 //! million-rep workloads no single process wants to own. The daemon
 //! splits the work three ways:
 //!
-//! * **In-process parallelism** — each job runs through
-//!   [`voltboot::campaign::Campaign::run_shard_parallel`] over the
-//!   whole rep range, the rep-order merging scheduler whose reports
-//!   are byte-identical at any thread count.
+//! * **In-process parallelism** — each job runs through the campaign
+//!   runner, [`voltboot::campaign::Campaign::run_from`], over the whole
+//!   rep range, the rep-order merging scheduler whose reports are
+//!   byte-identical at any thread count. With `--state-dir` it starts
+//!   from the job's leftover checkpoint if one loads, and saves there.
 //! * **Cross-process sharding** — the `shard` subcommand runs one rep
 //!   range `[start, end)` into a checkpoint whose header records the
 //!   range; [`voltboot::campaign::merge_shards`] recombines a complete

@@ -12,7 +12,7 @@
 //!
 //! With a state directory configured ([`RegistryConfig::state_dir`]),
 //! the registry is also *durable*: every lifecycle transition is
-//! written through the CRC-sealed [`Journal`](crate::journal::Journal)
+//! written through the CRC-sealed [`Journal`]
 //! before the in-memory table reflects it, finished reports persist as
 //! `job-<id>.report.json`, and running jobs checkpoint under the same
 //! directory. [`Registry::with_config`] replays the journal on
@@ -863,50 +863,37 @@ fn run_job(
     run_in_process(registry, id, spec, done)
 }
 
-/// Runs one job's campaign through the checkpointed parallel scheduler
-/// and renders its report. With a state dir, the checkpoint lives
-/// there so a restarted daemon resumes it; a corrupt leftover is
-/// discarded (counted) rather than wedging the job. Removed on
-/// success.
+/// Runs one job's campaign through the campaign runner and renders its
+/// report. With a state dir, the runner saves the job's checkpoint
+/// there so a restarted daemon resumes it, and the runner credits the
+/// resumed reps to the job's progress; a corrupt leftover is discarded
+/// (counted) rather than wedging the job. Removed on success. Without
+/// a state dir no restart can resume the job, so it runs without a
+/// checkpoint.
 fn run_in_process(
     registry: &Registry,
     id: u64,
     spec: &SweepSpec,
     done: Arc<AtomicU64>,
 ) -> Result<String, String> {
-    let checkpoint = match &registry.config.state_dir {
-        Some(dir) => job_checkpoint_path(dir, id),
-        None => std::env::temp_dir()
-            .join(format!("voltboot_job_{}_{id}.checkpoint", std::process::id())),
-    };
-    let mut resume = false;
-    if checkpoint.exists() {
-        match Checkpoint::load(&checkpoint) {
-            Ok(cp) => {
-                // Pre-credit the prior life's progress so WATCH shows
-                // the true position from the first poll.
-                done.fetch_max(cp.next_rep.saturating_sub(cp.shard.start), Ordering::Relaxed);
-                resume = true;
-            }
+    let checkpoint = registry.config.state_dir.as_deref().map(|dir| job_checkpoint_path(dir, id));
+    let campaign = spec.campaign().observe(done);
+    let mut from = campaign.fresh(ShardRange::whole(spec.reps));
+    if let Some(path) = checkpoint.as_deref().filter(|path| path.exists()) {
+        match Checkpoint::load(path) {
+            Ok(cp) => from = cp,
             Err(_) => {
-                std::fs::remove_file(&checkpoint).ok();
+                std::fs::remove_file(path).ok();
                 registry.stats.checkpoints_discarded.inc();
             }
         }
     }
-    let campaign = spec.campaign().observe(done);
-    let result = if resume {
-        campaign.resume_shard_parallel(spec.threads, &checkpoint, spec.victim())
-    } else {
-        campaign.run_shard_parallel(
-            spec.threads,
-            ShardRange::whole(spec.reps),
-            &checkpoint,
-            spec.victim(),
-        )
-    };
-    let result = result.map_err(|e| sanitize(&e.to_string()))?;
-    std::fs::remove_file(&checkpoint).ok();
+    let result = campaign
+        .run_from(spec.threads, from, None, checkpoint.as_deref(), spec.victim())
+        .map_err(|e| sanitize(&e.to_string()))?;
+    if let Some(path) = &checkpoint {
+        std::fs::remove_file(path).ok();
+    }
     Ok(result.to_json())
 }
 
@@ -1020,6 +1007,30 @@ mod tests {
         let id = registry.submit(tiny_spec()).unwrap();
         assert_eq!(registry.snapshot(id).unwrap().state, JobState::Queued);
         assert!(!registry.is_shutdown());
+    }
+
+    #[test]
+    fn a_job_without_a_state_dir_runs_without_a_checkpoint() {
+        // A checkpoint a job of another spec (same fault seed and rep
+        // count) left at a per-pid temp path, as a restarted process
+        // with a recycled pid would find it, must be neither resumed
+        // nor replaced.
+        let leftover =
+            std::env::temp_dir().join(format!("voltboot_job_{}_1.checkpoint", std::process::id()));
+        let other = SweepSpec::parse(["platform=pi4", "reps=4", "passes=1", "rate=0"]).unwrap();
+        let campaign = other.campaign();
+        let from = campaign.fresh(ShardRange::whole(4));
+        campaign.run_from(1, from, Some(2), Some(&leftover), other.victim()).unwrap();
+        let planted = std::fs::read(&leftover).unwrap();
+
+        let registry = Arc::new(Registry::new());
+        let spec = SweepSpec::parse(["platform=pi4", "reps=4", "passes=3", "rate=0"]).unwrap();
+        assert_eq!(registry.submit(spec.clone()).unwrap(), 1);
+        let (id, claimed, done) = registry.claim().unwrap();
+        let report = run_job(&registry, id, &claimed, done).unwrap();
+        assert_eq!(report, spec.campaign().run(spec.victim()).to_json());
+        assert_eq!(std::fs::read(&leftover).unwrap(), planted);
+        std::fs::remove_file(&leftover).ok();
     }
 
     #[test]

@@ -84,14 +84,10 @@ fn interrupted_job_resumes_from_its_checkpoint_byte_identical() {
         ],
     );
     let checkpoint = dir.join("job-1.checkpoint");
-    spec.campaign()
-        .run_shard_partial_parallel(
-            spec.threads,
-            ShardRange { start: 0, end: spec.reps },
-            2,
-            &checkpoint,
-            spec.victim(),
-        )
+    let campaign = spec.campaign();
+    let from = campaign.fresh(ShardRange { start: 0, end: spec.reps });
+    campaign
+        .run_from(spec.threads, from, Some(2), Some(&checkpoint), spec.victim())
         .expect("leave a partial checkpoint behind");
 
     let (registry, state) = recover_and_wait(&dir, 1);

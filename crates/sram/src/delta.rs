@@ -41,7 +41,7 @@
 //!   contribution is the power-up block's strong-1 mask ANDed with the
 //!   same lost mask.
 //! * **Metastable samples.** Both paths call the *same*
-//!   [`engine::sample_meta_word`] kernel with the same hoisted
+//!   `engine::sample_meta_word` kernel with the same hoisted
 //!   `event_base(seed, event_id)` and the same **absolute** cell
 //!   indices, so the counter-mode RNG words drawn per cell per event
 //!   are identical — the sparse path doesn't re-seed or re-index
@@ -58,7 +58,7 @@
 //! # Promotion and leases
 //!
 //! Baselines are only built for conditions seen at least twice
-//! ([`engine::baseline_slot`]): brown-out depths are continuous, so a
+//! (`engine::baseline_slot`): brown-out depths are continuous, so a
 //! faulted rep's condition is usually unique and must not pay a build.
 //! Reps hold baselines through `Arc` leases — eviction and
 //! [`clear_plane_cache`](crate::clear_plane_cache) only forget a

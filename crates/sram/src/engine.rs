@@ -11,7 +11,7 @@
 //! This module replaces it with three layers, each **bit-exact** with the
 //! scalar path:
 //!
-//! 1. **Die planes** ([`DiePlanes`]) — per `(seed, distribution, size)`,
+//! 1. **Die planes** (`DiePlanes`) — per `(seed, distribution, size)`,
 //!    three blocks, each derived once and only when something first
 //!    needs it:
 //!
@@ -22,7 +22,7 @@
 //!      an owed tile (see [`SramArray`](crate::SramArray)'s owed
 //!      power-up tiles), or a query decided cell by cell, which builds
 //!      the whole block before its kernels fan out. A tile is derived a
-//!      word at a time ([`powerup_record`]): integer class tests, no
+//!      word at a time (`powerup_record`): integer class tests, no
 //!      float and no branch per cell;
 //!    * the **DRV block** — every cell's DRV quantized onto a 12-bit
 //!      grid (1.5 B/cell) — is built by the first held-rail query whose
@@ -32,14 +32,14 @@
 //!      by the first unpowered query with positive stress.
 //!
 //!    A retention block *transposes* its buckets, derived 64 to a batch
-//!    per word, into bit-sliced tiles of [`TILE_WORDS`] words × one row
+//!    per word, into bit-sliced tiles of `TILE_WORDS` words × one row
 //!    per bucket bit, L1-resident while its 4096 cells resolve. The grid
 //!    widths trade exact-fallback volume against memory traffic: each
 //!    extra bit-plane row streams another ~0.13 bytes per cell per
 //!    cycle, while each bit *removed*
 //!    doubles the (cheap, exact) bucket-tie fallback rate — these widths
 //!    keep ties in the low thousands per megabyte while the warm cycle
-//!    stays bandwidth-lean. [`power_on_outcome`] classifies every
+//!    stays bandwidth-lean. `power_on_outcome` classifies every
 //!    power-on, scalar or batched, before anything is derived. One that
 //!    loses every cell (a fresh die's first power-on, an unheld cycle
 //!    past the decay tail, a hold below `drv_min`) owes its power-up
@@ -54,7 +54,7 @@
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
 //!    planes: an MSB-first eq-prefix scan compares 64 cells per row
 //!    operation (~2 ALU ops per row, 12 rows), and the const-generic
-//!    [`resolve_chunk`] widens that to 256-bit effective lanes by
+//!    `resolve_chunk` widens that to 256-bit effective lanes by
 //!    processing four consecutive words per step. Only cells whose
 //!    bucket *equals* the query bucket fall back to the exact scalar
 //!    derivation, which keeps the result identical to the reference
@@ -1328,7 +1328,7 @@ fn valid_mask(bits: usize, word: usize) -> u64 {
 /// array of `bits` cells from the calling thread: 1 below the
 /// [`PAR_MIN_BITS`] sharding threshold or under an exhausted
 /// [`par::with_budget`] budget, otherwise the number of tile-aligned
-/// shards [`shard_tiles`] splits the array into (which can fall short of
+/// shards `shard_tiles` splits the array into (which can fall short of
 /// the pool size for short arrays). Bench snapshots report this instead of
 /// the raw pool size so the recorded thread count matches what ran.
 pub fn resolution_workers(bits: usize) -> usize {

@@ -4,10 +4,11 @@
 //!   claim must lie in its band, and EXPERIMENTS.md must carry exactly
 //!   the block `repro all` prints, so a change that moves a result fails
 //!   here instead of silently editing the document.
-//! * One daemon job's report and its three trace exports are pinned by
-//!   CRC-64, as voltbench pins the report.
+//! * One daemon job's report, its three trace exports and its checkpoint
+//!   files are pinned by CRC-64, as voltbench pins the report.
 //! * The SRAM power-up statistics an SRAM PUF relies on hold on any die.
 
+use voltboot::campaign::ShardRange;
 use voltboot::experiments::{self, DEFAULT_SEED, INDEX};
 use voltboot::recover::crc64;
 use voltboot::telemetry::export;
@@ -68,6 +69,27 @@ fn daemon_job_report_and_trace_exports_are_pinned() {
     assert_eq!(crc64(chrome.as_bytes()), 0xa1e3_846b_480f_a3f1, "chrome trace");
     assert_eq!(crc64(export::folded(rec).as_bytes()), 0xf4e7_63d3_83c8_d3db, "folded stacks");
     assert_eq!(crc64(export::waveforms_csv(rec).as_bytes()), 0xd2c8_f342_ec6f_715b, "waveforms");
+
+    // The same job's checkpoint files, written by one worker and by two.
+    let dir = std::env::temp_dir().join(format!("voltboot_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("job.checkpoint");
+    let campaign = spec.campaign();
+    let pinned = |what: &str, want: u64, len: usize| {
+        let bytes = std::fs::read(&path).expect("the run wrote its checkpoint");
+        assert_eq!((crc64(&bytes), bytes.len()), (want, len), "{what} checkpoint");
+    };
+    for threads in [1, 2] {
+        campaign.run_shard_parallel(threads, ShardRange::whole(2), &path, spec.victim()).unwrap();
+        pinned("whole shard [0, 2)", 0xa729_65fc_cc6c_f089, 14_196);
+        let from = campaign.fresh(ShardRange::whole(2));
+        campaign.run_from(threads, from, Some(1), Some(&path), spec.victim()).unwrap();
+        pinned("stopped after rep 1 of [0, 2)", 0x9bec_a654_af86_22cd, 9_455);
+        let tail = ShardRange { start: 1, end: 2 };
+        campaign.run_shard_parallel(threads, tail, &path, spec.victim()).unwrap();
+        pinned("shard [1, 2)", 0xe694_7131_580f_eec6, 9_456);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
