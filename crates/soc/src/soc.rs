@@ -339,11 +339,6 @@ impl Soc {
         self.iram.as_ref()
     }
 
-    /// Mutable iRAM access.
-    pub fn iram_mut(&mut self) -> Option<&mut Iram> {
-        self.iram.as_mut()
-    }
-
     /// The board's power network.
     pub fn network(&self) -> &PowerNetwork {
         &self.network

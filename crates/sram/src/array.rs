@@ -202,8 +202,6 @@ pub struct SramArray {
     /// Whether the array has ever been powered (first power-on samples the
     /// pure power-up state with no retained data to fall back to).
     ever_powered: bool,
-    /// Report from the most recent power-on, if it followed an off period.
-    last_report: Option<RetentionReport>,
     /// Owed power-up tiles: one bit per [`engine::TILE_CELLS`]-cell tile
     /// whose power-up sample of event `owed_event` a batched power-on
     /// that lost every cell recorded instead of writing. Such a tile's
@@ -240,7 +238,6 @@ impl SramArray {
             data: PackedBits::zeros(bits),
             powerup_events: 0,
             ever_powered: false,
-            last_report: None,
             owed: PackedBits::zeros(bits.div_ceil(engine::TILE_CELLS)),
             owed_event: 0,
             planes: None,
@@ -276,11 +273,6 @@ impl SramArray {
     /// Whether the array is currently powered.
     pub fn is_powered(&self) -> bool {
         matches!(self.state, PowerState::Powered)
-    }
-
-    /// The retention report produced by the most recent power-on, if any.
-    pub fn last_retention_report(&self) -> Option<&RetentionReport> {
-        self.last_report.as_ref()
     }
 
     /// Derives the parameters of cell `index`.
@@ -502,10 +494,7 @@ impl SramArray {
         // sub-1.0 range out of the histogram's singleton buckets).
         rec.record("sram.lost_per_powerup", lost as u64);
         rec.record("sram.decay_stress_milli", (stress * 1e3) as u64);
-        let report =
-            RetentionReport { name: self.shared_name(), bits: self.config.bits, retained, lost };
-        self.last_report = Some(report.clone());
-        Ok(report)
+        Ok(RetentionReport { name: self.shared_name(), bits: self.config.bits, retained, lost })
     }
 
     fn cell_retains(params: &CellParams, event: OffEvent, stress: f64) -> bool {

@@ -147,20 +147,6 @@ impl PackedBits {
         }
     }
 
-    /// Merges `value` into word `w` under `mask`: bits set in `mask` take
-    /// the corresponding bit of `value`, other bits keep their old state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is past the last word or the merge would set bits
-    /// beyond `len`.
-    #[inline]
-    pub fn merge_word(&mut self, w: usize, value: u64, mask: u64) {
-        let valid = self.valid_mask(w);
-        assert!(mask & !valid == 0, "merge into word {w} writes past the end");
-        self.words[w] = (self.words[w] & !mask) | (value & mask);
-    }
-
     /// Fills every whole byte of the vector with `byte`, without an
     /// intermediate buffer. A trailing partial byte (when `len` is not a
     /// multiple of 8) keeps its old bits, matching a byte-granular write

@@ -119,11 +119,23 @@ pub(crate) fn derive_powerup(
     }
 }
 
+/// The salt [`derive_drv`] re-mixes a cell's DRV word with to draw the
+/// second uniform of its Box–Muller pair.
+pub(crate) const DRV_PAIR_SALT: u64 = 0xa5a5;
+
 /// Derives only the data-retention voltage of one cell (see
 /// [`derive_powerup`]).
 pub(crate) fn derive_drv(seed: u64, index: usize, dist: &CellDistribution) -> f64 {
     let drv_word = cell_word(seed, index, Stream::Drv);
-    let z = std_normal(drv_word, crate::rng::mix64(drv_word ^ 0xa5a5));
+    let z = std_normal(drv_word, crate::rng::mix64(drv_word ^ DRV_PAIR_SALT));
+    drv_from_normal(z, dist)
+}
+
+/// The DRV of a cell whose standard normal draw is `z`: the last step of
+/// [`derive_drv`], monotone in `z` (non-decreasing for `drv_sigma ≥ 0`),
+/// since each rounded operation and the clamp are.
+#[inline(always)]
+pub(crate) fn drv_from_normal(z: f64, dist: &CellDistribution) -> f64 {
     (dist.drv_mean + dist.drv_sigma * z).clamp(dist.drv_min, dist.drv_max)
 }
 

@@ -25,8 +25,14 @@
 //!      word at a time (`powerup_record`): integer class tests, no
 //!      float and no branch per cell;
 //!    * the **DRV block** — every cell's DRV quantized onto a 12-bit
-//!      grid (1.5 B/cell) — is built by the first held-rail query whose
-//!      threshold falls inside the DRV range (a droop);
+//!      grid (1.5 B/cell) — is built by a die's *second* held-rail query
+//!      whose threshold falls inside the DRV range (a partial hold). The
+//!      first derives each word's 64 buckets inside the lane kernel
+//!      instead (`drv_buckets`), so a die that meets one brown-out caches
+//!      no block nothing reads again. Either way a word's buckets come
+//!      from a libm-free Box–Muller staged over the batch, exact to
+//!      `derive_drv` because every cell near a bucket edge or clamp
+//!      re-derives through it;
 //!    * the **decay block** — every cell's decay budget quantized onto a
 //!      14-bit grid (1.75 B/cell, plus a 128 KiB cut table) — is built
 //!      by the first unpowered query with positive stress.
@@ -47,8 +53,9 @@
 //!    clean hold, a zero-stress cycle) changes nothing, so neither
 //!    derives anything: only the tiles later reads and writes touch pay
 //!    their power-up draws, and only the power-ons decided cell by cell
-//!    (droops into the DRV range, cold cycles) pay the per-cell
-//!    Box–Muller draws of the retention blocks.
+//!    pay per-cell Box–Muller draws: a cold cycle's decay budgets
+//!    through libm, and a partial hold's DRVs through the libm-free
+//!    batch.
 //!    Planes are memoized on the array and in a bounded global cache, so
 //!    repeated cycles of the same die (the common case) derive nothing.
 //! 2. **Lane kernels** — resolution is pure mask algebra over the bucket
@@ -69,11 +76,17 @@
 
 use crate::array::OffEvent;
 use crate::bits::PackedBits;
-use crate::cell::{derive_decay_budget, derive_drv, derive_powerup, CellDistribution};
+use crate::cell::{
+    derive_decay_budget, derive_drv, derive_powerup, drv_from_normal, CellDistribution,
+    DRV_PAIR_SALT,
+};
 use crate::par;
-use crate::rng::{cell_word, event_base, event_word_at, mix64, unit_f64, unit_threshold, Stream};
+use crate::rng::{
+    cell_word, event_base, event_word_at, fast_normal, mix64, unit_f64, unit_threshold, Stream,
+    FAST_NORMAL_ERROR, FAST_NORMAL_MIN_K1,
+};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Arrays with at least this many bits shard word-range resolution and
@@ -230,17 +243,84 @@ impl DrvGrid {
         DrvGrid { min: dist.drv_min, scale: Self::MAX / (dist.drv_max - dist.drv_min) }
     }
 
+    /// The grid coordinate `t = (v − min)·scale` truncated and clamped to
+    /// `[0, 2¹² − 1]`. The saturating cast sends `t ≤ 0` and NaN to 0, so
+    /// no branch and no `floor` (a libm call on baseline x86-64) is needed.
     #[inline]
     fn bucket(self, v: f64) -> u16 {
-        let t = (v - self.min) * self.scale;
-        if t <= 0.0 {
-            0
-        } else if t >= Self::MAX {
-            (1 << DRV_BITS) - 1
-        } else {
-            t as u16
-        }
+        (((v - self.min) * self.scale) as u16).min((1 << DRV_BITS) - 1)
     }
+}
+
+/// Half-width of the bracket [`drv_buckets`] puts around each cell's
+/// fast standard normal: 100 times [`FAST_NORMAL_ERROR`], the bound on
+/// how far [`fast_normal`] can stray from `derive_drv`'s own libm draw.
+/// On the grid that is a margin of `drv_sigma · scale · 10⁻⁹` steps
+/// around every bucket edge and clamp (3.3·10⁻⁷ on the calibrated die,
+/// so about two cells in 2.7 M fall back).
+const DRV_FAST_MARGIN: f64 = 100.0 * FAST_NORMAL_ERROR;
+
+/// One cell's DRV bucket from its Box–Muller draws `k1 = w1 >> 11` and
+/// `k2 = w2 >> 11`, with no libm call and no branch, and whether the
+/// cell must re-derive it exactly instead.
+///
+/// It buckets `z ∓ DRV_FAST_MARGIN` around the cell's [`fast_normal`]
+/// through `derive_drv`'s own last step ([`drv_from_normal`]) and
+/// [`DrvGrid::bucket`]. That map is monotone in `z`, and `derive_drv`'s
+/// libm `z` lies strictly inside the bracket, so where both ends share a
+/// bucket it is the cell's. A cell whose ends differ (within the margin
+/// of a bucket edge or a clamp) or whose `k1` is below
+/// [`FAST_NORMAL_MIN_K1`] is flagged.
+#[inline(always)]
+fn fast_drv_bucket(k1: u64, k2: u64, dist: &CellDistribution, grid: DrvGrid) -> (u16, bool) {
+    let z = fast_normal(k1, k2);
+    let bucket = |z: f64| grid.bucket(drv_from_normal(z, dist));
+    let (lo, hi) = (bucket(z - DRV_FAST_MARGIN), bucket(z + DRV_FAST_MARGIN));
+    (lo, (lo != hi) | (k1 < FAST_NORMAL_MIN_K1))
+}
+
+/// The DRV buckets of the `cells` cells from `cell0` on (at most 64, one
+/// word; padding cells get bucket 0), bit-identical to
+/// `DrvGrid::bucket(derive_drv(..))` per cell, and the mask of the cells
+/// that took that exact path.
+///
+/// Staged over the batch: hash every cell's two draws, then take every
+/// cell's [`fast_drv_bucket`], then re-derive the flagged ones through
+/// `derive_drv`.
+#[inline]
+fn drv_buckets(
+    seed: u64,
+    cell0: usize,
+    cells: usize,
+    dist: &CellDistribution,
+    grid: DrvGrid,
+) -> ([u16; 64], u64) {
+    let mut k1 = [0u64; 64];
+    let mut k2 = [0u64; 64];
+    for (b, (k1, k2)) in k1.iter_mut().zip(&mut k2).enumerate() {
+        let w = cell_word(seed, cell0 + b, Stream::Drv);
+        *k1 = w >> 11;
+        *k2 = mix64(w ^ DRV_PAIR_SALT) >> 11;
+    }
+    let mut q = [0u16; 64];
+    let mut exact = 0u64;
+    for (b, q) in q.iter_mut().enumerate() {
+        let (bucket, flagged) = fast_drv_bucket(k1[b], k2[b], dist, grid);
+        *q = bucket;
+        exact |= u64::from(flagged) << b;
+    }
+    let valid = u64::MAX >> (64 - cells);
+    exact &= valid;
+    let mut rest = exact;
+    while rest != 0 {
+        let b = rest.trailing_zeros() as usize;
+        q[b] = grid.bucket(derive_drv(seed, cell0 + b, dist));
+        rest &= rest - 1;
+    }
+    for q in &mut q[cells..] {
+        *q = 0;
+    }
+    (q, exact)
 }
 
 // ---------------------------------------------------------------------
@@ -326,10 +406,15 @@ struct DecayBlock {
 ///   whose arrays are mostly overwritten whole or never read derives
 ///   only the tiles something looks at.
 /// * The **DRV block** and the **decay block** are *retention blocks*,
-///   each in its own [`OnceLock`] and derived by the first query that
-///   scans it ([`Query::new`]). Only droop queries read DRVs and only
-///   unpowered queries with positive stress read decay budgets, so a
-///   die that never meets one never pays its per-cell Box–Muller draws.
+///   each in its own [`OnceLock`]. Only unpowered queries with positive
+///   stress read decay budgets, and the first builds the decay block
+///   ([`Query::new`]), so a die that never meets one never pays its
+///   per-cell Box–Muller draws. Only partial holds (droops into the DRV
+///   range) read DRVs, and a die's first derives each word's DRV buckets
+///   inside the lane kernel ([`drv_buckets`]) instead of building the
+///   block: the block is built by the die's second partial hold
+///   ([`DiePlanes::drv_block_for_hold`]), so a die that meets one (a
+///   brown-out on a fresh die) caches no block nothing reads again.
 ///
 /// A retention block holds `n_tiles × BITS × TILE_WORDS` words: tile
 /// `t`'s row `r` occupies `rows[(t * BITS + r) * TILE_WORDS..][..TILE_WORDS]`
@@ -349,8 +434,12 @@ pub(crate) struct DiePlanes {
     powerup: Box<[OnceLock<Box<PowerUpTile>>]>,
     /// Set once every power-up tile is built ([`DiePlanes::build_powerup`]).
     powerup_whole: OnceLock<()>,
-    /// DRV bucket rows, built on first need.
+    /// DRV bucket rows, built by the die's second partial hold.
     drv: OnceLock<Vec<u64>>,
+    /// Set by the die's first partial hold, which builds no DRV block.
+    /// It publishes no data (the block sits behind its own `OnceLock`),
+    /// so `Relaxed` suffices.
+    held_once: AtomicBool,
     /// Decay-budget bucket rows and their cut table, built on first need.
     decay: OnceLock<DecayBlock>,
 }
@@ -387,6 +476,7 @@ impl DiePlanes {
             powerup: (0..bits.div_ceil(TILE_CELLS)).map(|_| OnceLock::new()).collect(),
             powerup_whole: OnceLock::new(),
             drv: OnceLock::new(),
+            held_once: AtomicBool::new(false),
             decay: OnceLock::new(),
         }
     }
@@ -425,22 +515,35 @@ impl DiePlanes {
         });
     }
 
-    /// The DRV block, derived on first call.
+    /// The DRV block, derived on first call ([`drv_buckets`] per word).
     fn drv_rows(&self) -> &[u64] {
         self.drv.get_or_init(|| {
             let grid = DrvGrid::new(&self.dist);
-            build_bucket_rows::<DRV_BITS>(self.bits, |cell| {
-                grid.bucket(derive_drv(self.seed, cell, &self.dist))
+            build_bucket_rows::<DRV_BITS>(self.bits, |cell0, cells| {
+                drv_buckets(self.seed, cell0, cells, &self.dist, grid).0
             })
         })
+    }
+
+    /// The DRV block a partial hold scans: `None` for the die's first,
+    /// whose kernel derives each word's buckets itself, and the block,
+    /// derived on first need, for every later one (or if it is already
+    /// built). Like a rep-delta baseline, which waits for a condition's
+    /// second sighting ([`SEEN_CONDITIONS`]), the block waits for a
+    /// second hold to scan it.
+    fn drv_block_for_hold(&self) -> Option<&[u64]> {
+        let again = self.held_once.swap(true, Ordering::Relaxed);
+        (again || self.drv.get().is_some()).then(|| self.drv_rows())
     }
 
     /// The decay block, derived on first call.
     fn decay_block(&self) -> &DecayBlock {
         self.decay.get_or_init(|| {
             let cuts = DecayCuts::new(self.dist.decay_sigma);
-            let rows = build_bucket_rows::<DECAY_BITS>(self.bits, |cell| {
-                cuts.bucket(derive_decay_budget(self.seed, cell, &self.dist))
+            let rows = build_bucket_rows::<DECAY_BITS>(self.bits, |cell0, cells| {
+                batch_of(cell0, cells, |cell| {
+                    cuts.bucket(derive_decay_budget(self.seed, cell, &self.dist))
+                })
             });
             DecayBlock { rows, cuts }
         })
@@ -492,12 +595,13 @@ fn shard_tiles<T: Send, R: Send>(
 
 /// Derives a retention block: every cell's `BITS`-bit bucket, transposed
 /// MSB-first into the block's bit-plane rows (see [`DiePlanes`] for the
-/// layout). A word's 64 buckets are derived into a batch first and then
-/// transposed one row at a time, so the derivation loop carries no row
-/// state; padding cells keep bucket 0.
+/// layout). `batch(cell0, cells)` derives a word's buckets, the `cells`
+/// cells from `cell0` on, with padding cells at bucket 0; each batch is
+/// then transposed one row at a time, so the derivation loop carries no
+/// row state.
 fn build_bucket_rows<const BITS: usize>(
     bits: usize,
-    bucket: impl Fn(usize) -> u16 + Sync,
+    batch: impl Fn(usize, usize) -> [u16; 64] + Sync,
 ) -> Vec<u64> {
     let mut rows = vec![0u64; bits.div_ceil(TILE_CELLS) * BITS * TILE_WORDS];
     shard_tiles(bits, &mut rows, BITS * TILE_WORDS, |tiles, run| {
@@ -505,10 +609,7 @@ fn build_bucket_rows<const BITS: usize>(
             let word0 = t * TILE_WORDS;
             for j in 0..TILE_WORDS.min(bits.div_ceil(64) - word0) {
                 let cell0 = (word0 + j) * 64;
-                let mut batch = [0u16; 64];
-                for (b, q) in batch.iter_mut().enumerate().take(bits - cell0) {
-                    *q = bucket(cell0 + b);
-                }
+                let batch = batch(cell0, (bits - cell0).min(64));
                 for r in 0..BITS {
                     let shift = BITS - 1 - r;
                     tile[r * TILE_WORDS + j] = batch
@@ -520,6 +621,12 @@ fn build_bucket_rows<const BITS: usize>(
         }
     });
     rows
+}
+
+/// A word's batch of per-cell buckets for [`build_bucket_rows`]: cell
+/// `cell0 + b`'s `bucket` for `b < cells`, and 0 for padding cells.
+fn batch_of(cell0: usize, cells: usize, bucket: impl Fn(usize) -> u16) -> [u16; 64] {
+    std::array::from_fn(|b| if b < cells { bucket(cell0 + b) } else { 0 })
 }
 
 // ---------------------------------------------------------------------
@@ -907,8 +1014,9 @@ pub(crate) fn power_on_outcome(
 
 /// One power-cycle resolution query that [`power_on_outcome`] decides
 /// cell by cell, pre-bucketized against the die's quantizer grids,
-/// holding the slices of exactly the retention blocks it scans — so the
-/// kernels never touch a lock.
+/// holding the slices of exactly the retention blocks it scans (or, for
+/// a die's first partial hold, none) — so the kernels never touch a
+/// lock.
 struct Query<'a> {
     planes: &'a DiePlanes,
     /// Hoisted cell-independent half of the per-event RNG word
@@ -917,28 +1025,30 @@ struct Query<'a> {
     ev_base: u64,
     /// The decay check, or `None` when `stress <= 0` keeps every cell
     /// within its budget.
-    decay: Option<Scan<'a>>,
+    decay: Option<Scan<&'a [u64]>>,
     /// The held-rail check against `vmin = min(steady, transient)`, or
     /// `None` when every cell retains at the hold level: an unpowered
-    /// rail, or `vmin >= drv_max`.
-    drv: Option<Scan<'a>>,
+    /// rail, or `vmin >= drv_max`. Its rows are `None` on the die's
+    /// first partial hold, whose kernel derives each word's DRV buckets
+    /// itself ([`drv_cmp`]).
+    drv: Option<Scan<Option<&'a [u64]>>>,
 }
 
-/// A bucket-plane comparison against one retention block: its rows,
-/// the exact query value, and that value's bucket.
+/// A bucket comparison against one retention block: the block's rows
+/// (a slice, or for [`Query::drv`] an `Option` of one), the exact query
+/// value, and that value's bucket.
 #[derive(Clone, Copy)]
-struct Scan<'a> {
-    rows: &'a [u64],
+struct Scan<Rows> {
+    rows: Rows,
     value: f64,
     bucket: u16,
 }
 
 impl<'a> Query<'a> {
     /// Builds the query, deriving (tile-sharded, on the calling thread —
-    /// before any kernel fans out) each retention block it is the first
-    /// to need, and the whole power-up block, which its lost cells
-    /// sample. The kernels then fetch each power-up tile once, already
-    /// built.
+    /// before any kernel fans out) each retention block it is the one to
+    /// build, and the whole power-up block, which its lost cells sample.
+    /// The kernels then fetch each power-up tile once, already built.
     fn new(planes: &'a DiePlanes, event: OffEvent, stress: f64, event_id: u64) -> Self {
         let dist = &planes.dist;
         let drv = match event {
@@ -946,7 +1056,7 @@ impl<'a> Query<'a> {
             OffEvent::Held { voltage, transient_min_voltage } => {
                 let vmin = voltage.min(transient_min_voltage);
                 (vmin < dist.drv_max).then(|| Scan {
-                    rows: planes.drv_rows(),
+                    rows: planes.drv_block_for_hold(),
                     value: vmin,
                     bucket: DrvGrid::new(dist).bucket(vmin),
                 })
@@ -954,7 +1064,7 @@ impl<'a> Query<'a> {
         };
         let decay = (stress > 0.0).then(|| {
             let block = planes.decay_block();
-            Scan { rows: &block.rows, value: stress, bucket: block.cuts.bucket(stress) }
+            Scan { rows: &block.rows[..], value: stress, bucket: block.cuts.bucket(stress) }
         });
         planes.build_powerup();
         Query { planes, ev_base: event_base(planes.seed, event_id), decay, drv }
@@ -1003,6 +1113,26 @@ fn block_tile<const BITS: usize>(rows: &[u64], word: usize) -> (&[u64], usize) {
     (&rows[word / TILE_WORDS * BITS * TILE_WORDS..][..BITS * TILE_WORDS], word % TILE_WORDS)
 }
 
+/// [`cmp_grid`]'s `(gt, eq)` masks of `N` consecutive words from `word0`
+/// against the DRV bucket `t`, computed from each word's [`drv_buckets`]
+/// batch instead of read from the DRV block: a die's first partial hold.
+#[inline(always)]
+fn drv_cmp<const N: usize>(planes: &DiePlanes, word0: usize, t: u16) -> ([u64; N], [u64; N]) {
+    let grid = DrvGrid::new(&planes.dist);
+    let mut gt = [0u64; N];
+    let mut eq = [0u64; N];
+    for i in 0..N {
+        let cell0 = (word0 + i) * 64;
+        let cells = (planes.bits - cell0).min(64);
+        let (batch, _) = drv_buckets(planes.seed, cell0, cells, &planes.dist, grid);
+        for (b, &q) in batch.iter().enumerate() {
+            gt[i] |= u64::from(q > t) << b;
+            eq[i] |= u64::from(q == t) << b;
+        }
+    }
+    (gt, eq)
+}
+
 /// Computes the retention keep-masks for `N` consecutive words: bit `b`
 /// of `keep[i]` is set iff cell `(word0 + i) * 64 + b` survives the
 /// query's off interval. Returns `(keep, valid)`. The caller guarantees
@@ -1047,8 +1177,13 @@ fn keep_chunk<const N: usize>(word0: usize, q: &Query<'_>) -> ([u64; N], [u64; N
     // cell's bucket below the query's retains, above loses, equal
     // re-derives. Only cells that passed the decay check fall back.
     if let Some(s) = q.drv {
-        let (tile, j) = block_tile::<DRV_BITS>(s.rows, word0);
-        let (gt, eq) = cmp_grid::<N, DRV_BITS>(tile, j, s.bucket);
+        let (gt, eq) = match s.rows {
+            Some(rows) => {
+                let (tile, j) = block_tile::<DRV_BITS>(rows, word0);
+                cmp_grid::<N, DRV_BITS>(tile, j, s.bucket)
+            }
+            None => drv_cmp::<N>(q.planes, word0, s.bucket),
+        };
         for i in 0..N {
             let mut drv_ok = valid[i] & !gt[i] & !eq[i];
             let mut boundary = eq[i] & keep[i];
@@ -1165,7 +1300,13 @@ pub(crate) fn resolve(
     event_id: u64,
     wide: bool,
 ) -> usize {
-    let q = Query::new(planes, event, stress, event_id);
+    resolve_query(data, &Query::new(planes, event, stress, event_id), wide)
+}
+
+/// [`resolve`] for an already built query: runs its lane kernels over
+/// `data`'s words.
+fn resolve_query(data: &mut PackedBits, q: &Query<'_>, wide: bool) -> usize {
+    let planes = q.planes;
     let shards = shard_tiles(planes.bits(), data.words_mut(), TILE_WORDS, |tiles, words| {
         let mut retained = 0usize;
         for (t, words) in tiles.zip(words.chunks_mut(TILE_WORDS)) {
@@ -1176,12 +1317,12 @@ pub(crate) fn resolve(
                 if wide && words.len() - k >= 4 {
                     let chunk: &mut [u64; 4] =
                         (&mut words[k..k + 4]).try_into().expect("4-word chunk");
-                    retained += resolve_chunk::<4>(chunk, word0 + k, &q, tile) as usize;
+                    retained += resolve_chunk::<4>(chunk, word0 + k, q, tile) as usize;
                     k += 4;
                 } else {
                     let chunk: &mut [u64; 1] =
                         (&mut words[k..k + 1]).try_into().expect("1-word chunk");
-                    retained += resolve_chunk::<1>(chunk, word0 + k, &q, tile) as usize;
+                    retained += resolve_chunk::<1>(chunk, word0 + k, q, tile) as usize;
                     k += 1;
                 }
             }
@@ -1463,13 +1604,15 @@ mod tests {
             // Every edge size, plus a few tiles with a ragged last word.
             let bits = EDGE_BITS.get(size).copied().unwrap_or(3 * TILE_CELLS + 77);
             let bucket = |cell: usize| crate::rng::mix64(salt ^ cell as u64) as u16;
+            let drv = |c| bucket(c) >> (16 - DRV_BITS);
             prop_assert_eq!(
-                build_bucket_rows::<DRV_BITS>(bits, |c| bucket(c) >> (16 - DRV_BITS)),
-                bucket_rows_oracle::<DRV_BITS>(bits, |c| bucket(c) >> (16 - DRV_BITS))
+                build_bucket_rows::<DRV_BITS>(bits, |c0, cells| batch_of(c0, cells, drv)),
+                bucket_rows_oracle::<DRV_BITS>(bits, drv)
             );
+            let decay = |c| bucket(c) >> (16 - DECAY_BITS);
             prop_assert_eq!(
-                build_bucket_rows::<DECAY_BITS>(bits, |c| bucket(c) >> (16 - DECAY_BITS)),
-                bucket_rows_oracle::<DECAY_BITS>(bits, |c| bucket(c) >> (16 - DECAY_BITS))
+                build_bucket_rows::<DECAY_BITS>(bits, |c0, cells| batch_of(c0, cells, decay)),
+                bucket_rows_oracle::<DECAY_BITS>(bits, decay)
             );
         }
     }
@@ -1498,6 +1641,175 @@ mod tests {
                         "seed {seed:#x}, cell {cell} on the bound {s}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The die of `simd_props`' weak tail-lane test: every cell within a
+    /// few grid steps of one bucket edge.
+    fn razor_thin() -> CellDistribution {
+        CellDistribution {
+            metastable_fraction: 0.6,
+            drv_mean: 0.30,
+            drv_sigma: 0.002,
+            drv_min: 0.28,
+            drv_max: 0.32,
+            decay_sigma: 0.05,
+        }
+    }
+
+    /// `simd_props`' DRV ranges, plus the calibrated and razor-thin dies.
+    fn drv_distributions() -> impl Strategy<Value = CellDistribution> {
+        prop_oneof![
+            (0.1f64..0.5, 0.001f64..0.12, 0.0f64..0.12, 0.45f64..0.95).prop_map(
+                |(mean, sigma, min, max)| CellDistribution {
+                    drv_mean: mean,
+                    drv_sigma: sigma,
+                    drv_min: min,
+                    drv_max: max,
+                    ..CellDistribution::calibrated()
+                }
+            ),
+            Just(CellDistribution::calibrated()),
+            Just(razor_thin()),
+        ]
+    }
+
+    /// The bucket `derive_drv` gives a cell whose draws are `k1`, `k2`.
+    fn libm_bucket(k1: u64, k2: u64, dist: &CellDistribution) -> u16 {
+        let z = crate::rng::std_normal(k1 << 11, k2 << 11);
+        DrvGrid::new(dist).bucket(drv_from_normal(z, dist))
+    }
+
+    /// Cells in a Pi 4's core-rail arrays, the block a brown-out scans.
+    const CORE_RAIL_CELLS: usize = 2_700_000;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fast_drv_buckets_match_the_libm_derivation(
+            seed in any::<u64>(),
+            dist in drv_distributions(),
+            word in 0usize..1 << 20,
+            cells in 1usize..=64,
+        ) {
+            let grid = DrvGrid::new(&dist);
+            for w in word..word + 16 {
+                let cell0 = w * 64;
+                let want = batch_of(cell0, cells, |c| grid.bucket(derive_drv(seed, c, &dist)));
+                prop_assert_eq!(drv_buckets(seed, cell0, cells, &dist, grid).0, want);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_drv_buckets_match_on_targeted_draws() {
+        // First draws at 1, on both sides of the cut below which the
+        // exact path serves, at the exponent splits and at 2⁵³ − 1; second
+        // draws on every quarter turn (the cosine's zeros and extremes)
+        // and every odd eighth turn (where `cos_turn` changes quadrant),
+        // each ±1.
+        const TOP: u64 = (1 << 53) - 1;
+        let split = ((1u64 << 52) as f64 * std::f64::consts::SQRT_2) as u64;
+        let k1s = [
+            1,
+            FAST_NORMAL_MIN_K1 - 1,
+            FAST_NORMAL_MIN_K1,
+            FAST_NORMAL_MIN_K1 + 1,
+            split,
+            split + 1,
+            (1 << 52) - 1,
+            1 << 52,
+            TOP,
+        ];
+        let k2s: Vec<u64> = (0..=8u64)
+            .flat_map(|eighth| [eighth << 50; 3].into_iter().zip([-1i64, 0, 1]))
+            .map(|(k, d)| k.saturating_add_signed(d).min(TOP))
+            .collect();
+        for dist in [CellDistribution::calibrated(), razor_thin()] {
+            let grid = DrvGrid::new(&dist);
+            for &k1 in &k1s {
+                for &k2 in &k2s {
+                    let (bucket, exact) = fast_drv_bucket(k1, k2, &dist, grid);
+                    assert!(
+                        exact || k1 >= FAST_NORMAL_MIN_K1,
+                        "k1 = {k1} must take the exact path"
+                    );
+                    if !exact {
+                        assert_eq!(bucket, libm_bucket(k1, k2, &dist), "k1 = {k1}, k2 = {k2}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cells_next_to_a_bucket_edge_bucket_like_libm() {
+        // Scan a core-rail-sized calibrated die for the cells whose exact
+        // grid coordinate lies within 10⁻⁴ of an integer (a bucket edge),
+        // and hold their fast buckets to the exact ones.
+        let (seed, dist) = (0xED6E_CE11, CellDistribution::calibrated());
+        let grid = DrvGrid::new(&dist);
+        let near: Vec<usize> = (0..CORE_RAIL_CELLS)
+            .filter(|&c| {
+                let t = (derive_drv(seed, c, &dist) - grid.min) * grid.scale;
+                (t - t.round()).abs() < 1e-4
+            })
+            .collect();
+        assert!(near.len() > 300, "only {} cells next to an edge", near.len());
+        for &c in &near {
+            let (cell0, b) = (c / 64 * 64, c % 64);
+            let want = grid.bucket(derive_drv(seed, c, &dist));
+            assert_eq!(drv_buckets(seed, cell0, 64, &dist, grid).0[b], want, "cell {c}");
+        }
+    }
+
+    #[test]
+    fn fast_drv_buckets_rarely_take_the_exact_path() {
+        // The margin is 100 times the written error bound, so on a
+        // calibrated die about two cells in 2.7 M fall back: the fast
+        // path is the one taken.
+        let dist = CellDistribution::calibrated();
+        let grid = DrvGrid::new(&dist);
+        for seed in [1u64, 2, 0x0020_22A5_B007, 0xFEED, u64::MAX] {
+            let fallbacks: u32 = (0..CORE_RAIL_CELLS / 64)
+                .map(|w| drv_buckets(seed, w * 64, 64, &dist, grid).1.count_ones())
+                .sum();
+            assert!(fallbacks <= 12, "seed {seed:#x}: {fallbacks} fallbacks in 2.7 M cells");
+        }
+    }
+
+    #[test]
+    fn a_partial_hold_resolves_alike_streamed_and_from_the_block() {
+        // A die's first partial hold derives its DRV buckets in the
+        // kernel; a prebuilt block must give the same image and retained
+        // count, on the 1- and the 4-word kernel, and both must count the
+        // cells whose DRV the hold reaches.
+        let dist = CellDistribution::calibrated();
+        let (seed, bits) = (0x5EED_D0D0, 3 * TILE_CELLS + 77);
+        for wide in [false, true] {
+            for vmin in [0.22, 0.30, 0.31, 0.38] {
+                let event = OffEvent::held_with_droop(0.8, vmin);
+                let run = |prebuilt: bool| {
+                    let planes = DiePlanes::build(seed, bits, &dist);
+                    if prebuilt {
+                        planes.drv_rows();
+                    }
+                    let mut data = PackedBits::zeros(bits);
+                    data.fill_byte(0x5A);
+                    let retained = resolve(&mut data, &planes, event, 0.0, 3, wide);
+                    assert_eq!(
+                        planes.drv.get().is_some(),
+                        prebuilt,
+                        "a first hold builds no block"
+                    );
+                    (data.to_bytes(), retained)
+                };
+                let streamed = run(false);
+                assert_eq!(streamed, run(true), "hold to {vmin} V, wide = {wide}");
+                let want = (0..bits).filter(|&c| vmin >= derive_drv(seed, c, &dist)).count();
+                assert_eq!(streamed.1, want, "hold to {vmin} V, wide = {wide}");
             }
         }
     }
@@ -1710,11 +2022,15 @@ mod tests {
         settle(&mut data, &planes, &owed, 2);
         assert_eq!(planes.powerup_tiles_built(), 1, "a settle derives only the owed tiles");
         assert_eq!(built(&planes), (false, false), "power-up samples build no retention block");
-        // A droop into the DRV range builds the DRV block only, plus the
-        // whole power-up block its lost cells sample.
+        // A die's first droop into the DRV range derives its DRV buckets
+        // in the kernel and builds no retention block, only the whole
+        // power-up block its lost cells sample.
         resolve(&mut data, &planes, OffEvent::held_with_droop(0.8, 0.31), 0.0, 4, true);
-        assert_eq!(built(&planes), (true, false), "a droop builds the DRV block only");
+        assert_eq!(built(&planes), (false, false), "a first droop builds no retention block");
         assert_eq!(planes.powerup_tiles_built(), n_tiles, "a lossy query builds every tile");
+        // Its second droop builds the DRV block only.
+        resolve(&mut data, &planes, OffEvent::held_with_droop(0.8, 0.29), 0.0, 5, true);
+        assert_eq!(built(&planes), (true, false), "a second droop builds the DRV block only");
         // A cold unpowered interval builds the decay block only.
         let fresh = DiePlanes::build(seed, bits, &dist);
         resolve(&mut data, &fresh, OffEvent::unpowered(), cold_stress(), 5, true);
@@ -1724,10 +2040,11 @@ mod tests {
     #[test]
     fn concurrent_conditions_on_a_new_die_share_each_block() {
         // The extended hammer: four threads resolve different conditions
-        // on one newly cached die at the same moment, two racing for the
-        // DRV block and two for the decay block. Each block must be
-        // built once and shared, and every image must equal the scalar
-        // path's.
+        // on one newly cached die at the same moment, two droops and two
+        // cold cycles, each through the query it inspects. One droop is
+        // the die's first partial hold and scans no DRV block; the other
+        // builds it. Each block must be built once and shared, and every
+        // image must equal the scalar path's.
         use crate::{ArrayConfig, PowerState, ResolutionMode, SramArray, Temperature};
         use std::time::Duration;
         let _guard = crate::global_state_lock();
@@ -1763,13 +2080,13 @@ mod tests {
                         let (planes, _) = planes_for(seed, bits, dist);
                         barrier.wait();
                         let q = Query::new(&planes, event, stress, 1);
-                        // Block addresses, as integers so they can leave
-                        // the thread.
-                        let drv = q.drv.map(|s| s.rows.as_ptr() as usize);
+                        // The blocks the query scans, as addresses so they
+                        // can leave the thread.
+                        let drv = q.drv.map(|s| s.rows.map(|rows| rows.as_ptr() as usize));
                         let decay = q.decay.map(|s| s.rows.as_ptr() as usize);
                         let mut data = PackedBits::zeros(bits);
                         data.fill_byte(fill);
-                        let retained = resolve(&mut data, &planes, event, stress, 1, true);
+                        let retained = resolve_query(&mut data, &q, true);
                         (planes, drv, decay, data.to_bytes(), retained)
                     })
                 })
@@ -1781,16 +2098,21 @@ mod tests {
         let planes = &results[0].0;
         let drv_block = planes.drv.get().expect("DRV block built").as_ptr() as usize;
         let decay_block = planes.decay.get().expect("decay block built").rows.as_ptr() as usize;
+        let mut scanned = Vec::new();
         for ((p, drv, decay, image, retained), (&(event, _), (_, want_image, want_retained))) in
             results.iter().zip(conditions.iter().zip(&expected))
         {
             assert!(Arc::ptr_eq(planes, p), "all threads share one plane set");
             let held = matches!(event, OffEvent::Held { .. });
-            assert_eq!(*drv, held.then_some(drv_block), "one DRV block for every droop");
+            assert_eq!(drv.is_some(), held, "a DRV check for every droop");
+            if let Some(Some(rows)) = drv {
+                scanned.push(*rows);
+            }
             assert_eq!(*decay, (!held).then_some(decay_block), "one decay block per cold cycle");
             assert_eq!(retained, want_retained, "{event:?}: retained count");
             assert_eq!(image, want_image, "{event:?}: image");
         }
+        assert_eq!(scanned, [drv_block], "exactly one droop scans the one DRV block");
         clear_plane_cache();
     }
 
