@@ -92,6 +92,93 @@ pub enum Extraction {
     },
 }
 
+impl Extraction {
+    /// Reads every unit of the plan once, in order, through the same
+    /// unit read the voted multi-pass readout repeats: one image per
+    /// cache way (`core<n>.l1d.way<w>`, then `l1i`), register file
+    /// (`core<n>.vregs`), TLB (`core<n>.tlb`), BTB (`core<n>.btb`), iRAM
+    /// (`iram`) or DRAM window (`dram@<addr>`). Records no telemetry.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::BadConfiguration`] for a missing core or a device
+    /// without iRAM, and the debug path's own failures (a TrustZone
+    /// refusal, an unmapped DRAM window).
+    pub fn read(&self, soc: &Soc) -> Result<Vec<ExtractedImage>, AttackError> {
+        let rec = Recorder::disabled();
+        self.units(soc)?
+            .into_iter()
+            .map(|unit| {
+                let bits = read_unit(soc, &unit, &rec)?;
+                Ok(ExtractedImage::new(unit.source, bits))
+            })
+            .collect()
+    }
+
+    /// Enumerates the plan's readout units — the granules (cache way,
+    /// register file, iRAM, DRAM window) a voted readout re-reads
+    /// independently — in image order. Every core is checked before
+    /// any unit is read.
+    fn units(&self, soc: &Soc) -> Result<Vec<UnitSpec>, AttackError> {
+        let mut units = Vec::new();
+        match self {
+            Extraction::Caches { cores } => {
+                for &core in cores {
+                    let c = soc.core(core).map_err(|_| bad_core(core))?;
+                    for (label, ram, geometry) in [
+                        ("l1d", RamId::L1DData, c.l1d.geometry()),
+                        ("l1i", RamId::L1IData, c.l1i.geometry()),
+                    ] {
+                        for way in 0..geometry.ways {
+                            units.push(UnitSpec {
+                                source: format!("core{core}.{label}.way{way}"),
+                                kind: UnitKind::Ram { core, ram, way: way as u8 },
+                            });
+                        }
+                    }
+                }
+            }
+            Extraction::Registers { cores } => {
+                for &core in cores {
+                    soc.core(core).map_err(|_| bad_core(core))?;
+                    units.push(UnitSpec {
+                        source: format!("core{core}.vregs"),
+                        kind: UnitKind::Registers { core },
+                    });
+                }
+            }
+            Extraction::IramJtag => {
+                units.push(UnitSpec { source: "iram".into(), kind: UnitKind::Iram });
+            }
+            Extraction::DramRaw { addr, len } => {
+                units.push(UnitSpec {
+                    source: format!("dram@{addr:#x}"),
+                    kind: UnitKind::DramRaw { addr: *addr, len: *len },
+                });
+            }
+            Extraction::Tlbs { cores } => {
+                for &core in cores {
+                    soc.core(core).map_err(|_| bad_core(core))?;
+                    units.push(UnitSpec {
+                        source: format!("core{core}.tlb"),
+                        kind: UnitKind::Ram { core, ram: RamId::Tlb, way: 0 },
+                    });
+                }
+            }
+            Extraction::Btbs { cores } => {
+                for &core in cores {
+                    soc.core(core).map_err(|_| bad_core(core))?;
+                    units.push(UnitSpec {
+                        source: format!("core{core}.btb"),
+                        kind: UnitKind::Ram { core, ram: RamId::Btb, way: 0 },
+                    });
+                }
+            }
+        }
+        Ok(units)
+    }
+}
+
 /// One extracted memory image, integrity-sealed at readout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedImage {
@@ -278,7 +365,6 @@ pub struct VoltBootAttack {
     probe: Probe,
     cycle: PowerCycleSpec,
     extraction: Extraction,
-    skip_reboot: bool,
     passes: u32,
 }
 
@@ -293,7 +379,6 @@ impl VoltBootAttack {
             probe: Probe::bench_supply(0.0, 3.0),
             cycle: PowerCycleSpec::quick(),
             extraction: Extraction::Caches { cores: vec![0] },
-            skip_reboot: false,
             passes: 1,
         }
     }
@@ -315,13 +400,6 @@ impl VoltBootAttack {
     /// Sets what to extract.
     pub fn extraction(mut self, extraction: Extraction) -> Self {
         self.extraction = extraction;
-        self
-    }
-
-    /// Skips the reboot step (for devices already running an attacker
-    /// context, or when a test drives boot manually).
-    pub fn skip_reboot(mut self, skip: bool) -> Self {
-        self.skip_reboot = skip;
         self
     }
 
@@ -466,35 +544,33 @@ impl VoltBootAttack {
         });
 
         // Step 4: reboot into the attacker's context.
-        if !self.skip_reboot {
-            let span = rec.span("attack.reboot");
-            let source = if soc.boot_rom().boots_from_internal_rom {
-                BootSource::InternalRom
-            } else {
-                // The attacker's USB extraction image: unsigned.
-                BootSource::ExternalMedia {
-                    image: extraction_stub_image(),
-                    entry: 0x8_0000,
-                    signed: false,
-                }
-            };
-            let outcome = match soc.boot_traced(source, rec) {
-                Ok(o) => o,
-                Err(e) => return Err(AttackFailure { error: e.into(), steps }),
-            };
-            rec.advance(REBOOT_STEP_NS);
-            span.end();
-            steps.push(StepRecord {
-                step: "reboot".into(),
-                detail: format!(
-                    "entry {:#x}; l2 clobbered: {}; iram clobbered: {} bytes; mbist: {}",
-                    outcome.entry,
-                    outcome.l2_clobbered,
-                    outcome.iram_bytes_clobbered,
-                    outcome.mbist_ran
-                ),
-            });
-        }
+        let span = rec.span("attack.reboot");
+        let source = if soc.boot_rom().boots_from_internal_rom {
+            BootSource::InternalRom
+        } else {
+            // The attacker's USB extraction image: unsigned.
+            BootSource::ExternalMedia {
+                image: extraction_stub_image(),
+                entry: 0x8_0000,
+                signed: false,
+            }
+        };
+        let outcome = match soc.boot_traced(source, rec) {
+            Ok(o) => o,
+            Err(e) => return Err(AttackFailure { error: e.into(), steps }),
+        };
+        rec.advance(REBOOT_STEP_NS);
+        span.end();
+        steps.push(StepRecord {
+            step: "reboot".into(),
+            detail: format!(
+                "entry {:#x}; l2 clobbered: {}; iram clobbered: {} bytes; mbist: {}",
+                outcome.entry,
+                outcome.l2_clobbered,
+                outcome.iram_bytes_clobbered,
+                outcome.mbist_ran
+            ),
+        });
 
         // Step 5: extract. Single-pass: a dropout fails the attempt and
         // bit errors corrupt the images silently — the classic flow.
@@ -515,7 +591,7 @@ impl VoltBootAttack {
                     steps,
                 });
             }
-            let mut images = match self.extract(soc) {
+            let mut images = match self.extraction.read(soc) {
                 Ok(i) => i,
                 Err(e) => return Err(AttackFailure { error: e, steps }),
             };
@@ -562,80 +638,6 @@ impl VoltBootAttack {
         });
 
         Ok(AttackOutcome { steps, rail_held, transient_min_voltage, images, confidence })
-    }
-
-    fn extract(&self, soc: &Soc) -> Result<Vec<ExtractedImage>, AttackError> {
-        match &self.extraction {
-            Extraction::Caches { cores } => extract_caches(soc, cores),
-            Extraction::Registers { cores } => extract_registers(soc, cores),
-            Extraction::IramJtag => extract_iram(soc),
-            Extraction::DramRaw { addr, len } => extract_dram_raw(soc, *addr, *len),
-            Extraction::Tlbs { cores } => extract_tlbs(soc, cores),
-            Extraction::Btbs { cores } => extract_btbs(soc, cores),
-        }
-    }
-
-    /// Enumerates the extraction plan's readout units — the granules
-    /// (cache way, register file, iRAM, DRAM window) the voted path can
-    /// re-read independently — in exactly the order
-    /// [`VoltBootAttack::extract`] emits images.
-    fn units(&self, soc: &Soc) -> Result<Vec<UnitSpec>, AttackError> {
-        let mut units = Vec::new();
-        match &self.extraction {
-            Extraction::Caches { cores } => {
-                for &core in cores {
-                    let c = soc.core(core).map_err(|_| bad_core(core))?;
-                    for (label, ram, geometry) in [
-                        ("l1d", RamId::L1DData, c.l1d.geometry()),
-                        ("l1i", RamId::L1IData, c.l1i.geometry()),
-                    ] {
-                        for way in 0..geometry.ways {
-                            units.push(UnitSpec {
-                                source: format!("core{core}.{label}.way{way}"),
-                                kind: UnitKind::Ram { core, ram, way: way as u8 },
-                            });
-                        }
-                    }
-                }
-            }
-            Extraction::Registers { cores } => {
-                for &core in cores {
-                    soc.core(core).map_err(|_| bad_core(core))?;
-                    units.push(UnitSpec {
-                        source: format!("core{core}.vregs"),
-                        kind: UnitKind::Registers { core },
-                    });
-                }
-            }
-            Extraction::IramJtag => {
-                units.push(UnitSpec { source: "iram".into(), kind: UnitKind::Iram });
-            }
-            Extraction::DramRaw { addr, len } => {
-                units.push(UnitSpec {
-                    source: format!("dram@{addr:#x}"),
-                    kind: UnitKind::DramRaw { addr: *addr, len: *len },
-                });
-            }
-            Extraction::Tlbs { cores } => {
-                for &core in cores {
-                    soc.core(core).map_err(|_| bad_core(core))?;
-                    units.push(UnitSpec {
-                        source: format!("core{core}.tlb"),
-                        kind: UnitKind::Ram { core, ram: RamId::Tlb, way: 0 },
-                    });
-                }
-            }
-            Extraction::Btbs { cores } => {
-                for &core in cores {
-                    soc.core(core).map_err(|_| bad_core(core))?;
-                    units.push(UnitSpec {
-                        source: format!("core{core}.btb"),
-                        kind: UnitKind::Ram { core, ram: RamId::Btb, way: 0 },
-                    });
-                }
-            }
-        }
-        Ok(units)
     }
 
     /// The voted multi-pass readout: cross-check every unit over its
@@ -694,7 +696,7 @@ impl VoltBootAttack {
                 Ok((bits, flipped))
             };
 
-        let units = self.units(soc)?;
+        let units = self.extraction.units(soc)?;
         let mut images = Vec::with_capacity(units.len());
         let mut confidence = Vec::with_capacity(units.len());
         let mut unit_reads = 0u64;
@@ -801,8 +803,10 @@ enum UnitKind {
     DramRaw { addr: u64, len: usize },
 }
 
-/// Reads one unit's current bits through the same debug paths the
-/// whole-plan extractors use, recording RAMINDEX readout telemetry.
+/// Reads one unit's current bits through its debug path — `RAMINDEX`
+/// for cache ways, TLBs and BTBs, JTAG for the iRAM — recording
+/// `RAMINDEX` readout telemetry on `rec`. Every image either flow
+/// extracts is read here.
 ///
 /// The dump's byte scratch and the image's word storage both come from
 /// the calling thread's [rep arena](par): after the first few reads
@@ -836,73 +840,6 @@ fn read_unit(soc: &Soc, unit: &UnitSpec, rec: &Recorder) -> Result<PackedBits, A
     })
 }
 
-/// Reads every way of both L1 caches of the given cores through the
-/// `RAMINDEX` debug path — the whole-way read
-/// ([`voltboot_soc::Soc::ramindex_unit`]) issues every beat in order,
-/// exactly as the EL3 extraction image does (request → `DSB SY` → `ISB`
-/// → four data registers).
-pub fn extract_caches(soc: &Soc, cores: &[usize]) -> Result<Vec<ExtractedImage>, AttackError> {
-    let mut images = Vec::new();
-    for &core in cores {
-        let c = soc.core(core).map_err(|_| bad_core(core))?;
-        for (label, ram, geometry) in
-            [("l1d", RamId::L1DData, c.l1d.geometry()), ("l1i", RamId::L1IData, c.l1i.geometry())]
-        {
-            for way in 0..geometry.ways {
-                let bytes = soc.ramindex_unit(core, ram, way as u8, false)?;
-                images.push(ExtractedImage::new(
-                    format!("core{core}.{label}.way{way}"),
-                    PackedBits::from_bytes(&bytes),
-                ));
-            }
-        }
-    }
-    Ok(images)
-}
-
-/// Reads the NEON register files of the given cores (the §7.2 target).
-pub fn extract_registers(soc: &Soc, cores: &[usize]) -> Result<Vec<ExtractedImage>, AttackError> {
-    let mut images = Vec::new();
-    for &core in cores {
-        let c = soc.core(core).map_err(|_| bad_core(core))?;
-        let image = c.vregs.image().map_err(AttackError::from)?;
-        images.push(ExtractedImage::new(format!("core{core}.vregs"), image));
-    }
-    Ok(images)
-}
-
-/// Dumps the iRAM over JTAG (the §7.3 path; no external boot media
-/// needed on the i.MX535).
-pub fn extract_iram(soc: &Soc) -> Result<Vec<ExtractedImage>, AttackError> {
-    let iram =
-        soc.iram().ok_or(AttackError::BadConfiguration { detail: "device has no iram".into() })?;
-    let bytes = soc.jtag_read(iram.base(), iram.len())?;
-    Ok(vec![ExtractedImage::new("iram", PackedBits::from_bytes(&bytes))])
-}
-
-/// Reads the main TLB entry RAM of each listed core through `RAMINDEX`,
-/// one entry word per beat.
-pub fn extract_tlbs(soc: &Soc, cores: &[usize]) -> Result<Vec<ExtractedImage>, AttackError> {
-    let mut images = Vec::new();
-    for &core in cores {
-        soc.core(core).map_err(|_| bad_core(core))?;
-        let bytes = soc.ramindex_unit(core, RamId::Tlb, 0, false)?;
-        images.push(ExtractedImage::new(format!("core{core}.tlb"), PackedBits::from_bytes(&bytes)));
-    }
-    Ok(images)
-}
-
-/// Reads the BTB entry RAM of each listed core through `RAMINDEX`.
-pub fn extract_btbs(soc: &Soc, cores: &[usize]) -> Result<Vec<ExtractedImage>, AttackError> {
-    let mut images = Vec::new();
-    for &core in cores {
-        soc.core(core).map_err(|_| bad_core(core))?;
-        let bytes = soc.ramindex_unit(core, RamId::Btb, 0, false)?;
-        images.push(ExtractedImage::new(format!("core{core}.btb"), PackedBits::from_bytes(&bytes)));
-    }
-    Ok(images)
-}
-
 /// Decodes `(branch_pc, target)` pairs from an extracted BTB image.
 pub fn btb_branches(image: &ExtractedImage) -> Vec<(u64, u64)> {
     image
@@ -934,18 +871,6 @@ pub fn tlb_pages(image: &ExtractedImage) -> Vec<u64> {
             (word & (1 << 63) != 0).then_some(word & 0x000F_FFFF_FFFF_FFFF)
         })
         .collect()
-}
-
-/// Dumps raw DRAM cells — what a physical probe on the module (or a
-/// FROST-style minimal kernel) sees: post-decay, and scrambled if the
-/// controller scrambles.
-pub fn extract_dram_raw(
-    soc: &Soc,
-    addr: u64,
-    len: usize,
-) -> Result<Vec<ExtractedImage>, AttackError> {
-    let cells = soc.dram().raw_cells(addr, len).map_err(AttackError::from)?;
-    Ok(vec![ExtractedImage::new(format!("dram@{addr:#x}"), PackedBits::from_bytes(&cells))])
 }
 
 /// A placeholder extraction image: the attacker's USB payload. Its
@@ -1014,15 +939,7 @@ impl ColdBootAttack {
         soc.boot(source)?;
         steps.push(StepRecord { step: "reboot".into(), detail: "attacker media".into() });
 
-        let attack = VoltBootAttack {
-            pad: String::new(),
-            probe: Probe::bench_supply(0.0, 0.0),
-            cycle: PowerCycleSpec::quick(),
-            extraction: self.extraction.clone(),
-            skip_reboot: true,
-            passes: 1,
-        };
-        let images = attack.extract(soc)?;
+        let images = self.extraction.read(soc)?;
         steps.push(StepRecord {
             step: "extract".into(),
             detail: format!("{} images", images.len()),
@@ -1237,16 +1154,40 @@ mod tests {
         assert_eq!(a.passes(99).normalized_passes(), 15);
     }
 
+    fn held_imx53() -> Soc {
+        let mut soc = devices::imx53_qsb(3);
+        soc.power_on_all();
+        soc
+    }
+
     #[test]
     fn quiescent_multi_pass_is_bit_identical_to_single_pass() {
-        let single = VoltBootAttack::new("TP15").execute(&mut prepared_pi4()).unwrap();
-        let voted = VoltBootAttack::new("TP15").passes(3).execute(&mut prepared_pi4()).unwrap();
-        assert_eq!(single.images, voted.images, "no faults: voting must change nothing");
-        assert!(single.confidence.is_empty(), "single-pass carries no vote confidence");
-        assert_eq!(voted.confidence.len(), voted.images.len());
-        for c in &voted.confidence {
-            assert_eq!(c.map.unanimous, c.map.total_bits, "clean reads agree everywhere");
-            assert_eq!(c.map.votes, 2, "a clean cross-check stops after two passes");
+        let cores = || vec![0, 1, 2, 3];
+        let plans = [
+            Extraction::Caches { cores: cores() },
+            Extraction::Registers { cores: cores() },
+            Extraction::Tlbs { cores: cores() },
+            Extraction::Btbs { cores: cores() },
+            Extraction::DramRaw { addr: 0x10000, len: 4096 },
+            Extraction::IramJtag,
+        ];
+        for plan in plans {
+            let (pad, board): (&str, fn() -> Soc) = match plan {
+                Extraction::IramJtag => ("SH13", held_imx53),
+                _ => ("TP15", prepared_pi4),
+            };
+            let attack = VoltBootAttack::new(pad).extraction(plan.clone());
+            let single = attack.clone().execute(&mut board()).unwrap();
+            let voted = attack.passes(3).execute(&mut board()).unwrap();
+            assert!(!single.images.is_empty(), "{plan:?} extracts something");
+            // Source labels, order, bits and sealed CRCs.
+            assert_eq!(single.images, voted.images, "{plan:?}: voting must change nothing");
+            assert!(single.confidence.is_empty(), "single-pass carries no vote confidence");
+            assert_eq!(voted.confidence.len(), voted.images.len());
+            for c in &voted.confidence {
+                assert_eq!(c.map.unanimous, c.map.total_bits, "clean reads agree everywhere");
+                assert_eq!(c.map.votes, 2, "a clean cross-check stops after two passes");
+            }
         }
     }
 

@@ -80,7 +80,7 @@ pub fn run(seed: u64) -> DramBaselineResult {
         });
 
         // The SRAM side: dump the registers and scan, exact + tolerant.
-        let reg_image = crate::attack::extract_registers(&soc, &[0]).expect("register dump");
+        let reg_image = Extraction::Registers { cores: vec![0] }.read(&soc).expect("register dump");
         let sram_key_recovered = crate::analysis::find_key_schedules(&reg_image[0].bits)
             .iter()
             .any(|(_, ks)| ks.original_key() == key)

@@ -58,7 +58,7 @@ pub fn run(seed: u64) -> GeneralityResult {
             target: "L1 i-cache".into(),
             accuracy: 1.0 - analysis::fractional_hamming(got, &icache_truth),
         });
-        let regs = crate::attack::extract_registers(&soc, &[0]).expect("register dump");
+        let regs = Extraction::Registers { cores: vec![0] }.read(&soc).expect("register dump");
         rows.push(GeneralityRow {
             board: soc.board_name().into(),
             soc: soc.soc_name().into(),

@@ -196,8 +196,9 @@ fn resealed_out_of_range_fields_still_fail_typed() {
     ));
 }
 
-/// The daemon's `MERGE` verb hands wire paths to [`Checkpoint::load`],
-/// so a path that is not a regular file must fail typed and promptly.
+/// `merge-shards` and every resume hand operator-named paths to
+/// [`Checkpoint::load`], so a path that is not a regular file must fail
+/// typed and promptly.
 /// Each load runs on its own thread: one that blocks (a FIFO with no
 /// writer) or reads forever (`/dev/zero`) fails the test instead of
 /// hanging it.

@@ -218,16 +218,6 @@ impl Client {
         self.fetch_payload(&format!("REPORT {id}"))
     }
 
-    /// `MERGE <paths>` → the merged report bytes.
-    ///
-    /// # Errors
-    ///
-    /// Transport failure or an `ERR` reply (corrupt, incomplete, or
-    /// mismatched shards).
-    pub fn merge(&mut self, paths: &[String]) -> Result<String, ClientError> {
-        self.fetch_payload(&format!("MERGE {}", paths.join(" ")))
-    }
-
     /// `STATS` → the daemon's one-line counters.
     ///
     /// # Errors

@@ -21,8 +21,6 @@
 //!                              DONE job=<id> state=<done|failed> [error=<detail>]
 //! REPORT <id>               -> OK bytes=<n>
 //!                              <n raw bytes of report JSON>
-//! MERGE <path> [<path> ...] -> OK bytes=<n>
-//!                              <n raw bytes of merged report JSON>
 //! STATS                     -> OK conns=... conn_timeouts=... queued=... (one line)
 //! METRICS                   -> OK bytes=<n>
 //!                              <n raw bytes of Prometheus text exposition>
@@ -33,10 +31,8 @@
 //!
 //! `WATCH` streams a `PROGRESS` line whenever the job's lock-free
 //! counters move (coalesced; poll interval ~25 ms) and always emits at
-//! least one before `DONE`. `MERGE` runs
-//! [`voltboot::campaign::merge_shards`] over shard checkpoint files on
-//! the server's filesystem; a corrupt or incomplete shard is a typed
-//! one-line `ERR`, after which the connection keeps serving.
+//! least one before `DONE`. No verb names a file: shard checkpoints
+//! merge offline through `voltboot-server merge-shards`.
 //!
 //! # Hardening
 //!
@@ -55,7 +51,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voltboot::campaign::merge_shards;
 use voltboot_telemetry::metrics::LatencyHist;
 
 use crate::registry::{names, sanitize, JobState, Registry, RegistryConfig};
@@ -110,10 +105,8 @@ struct VerbLatency {
 }
 
 /// The verbs that get their own latency cell.
-const VERBS: [&str; 10] = [
-    "PING", "SUBMIT", "STATUS", "WATCH", "REPORT", "MERGE", "STATS", "METRICS", "HEALTH",
-    "SHUTDOWN",
-];
+const VERBS: [&str; 9] =
+    ["PING", "SUBMIT", "STATUS", "WATCH", "REPORT", "STATS", "METRICS", "HEALTH", "SHUTDOWN"];
 
 impl VerbLatency {
     fn register(registry: &Registry) -> VerbLatency {
@@ -312,7 +305,6 @@ fn handle_connection(
             "STATUS" => status(registry, &rest, &mut writer)?,
             "WATCH" => watch(registry, &rest, &mut writer)?,
             "REPORT" => report(registry, &rest, &mut writer)?,
-            "MERGE" => merge(&rest, &mut writer)?,
             "STATS" => {
                 let (queued, running, done, failed) = registry.job_counts();
                 writeln!(
@@ -426,17 +418,6 @@ fn report(registry: &Arc<Registry>, rest: &[&str], w: &mut TcpStream) -> std::io
             writeln!(w, "ERR job {id} not finished (state={state})")
         }
         Some(Ok(Some(report))) => send_payload(w, &report),
-    }
-}
-
-fn merge(rest: &[&str], w: &mut TcpStream) -> std::io::Result<()> {
-    if rest.is_empty() {
-        return writeln!(w, "ERR MERGE needs at least one shard checkpoint path");
-    }
-    let paths: Vec<PathBuf> = rest.iter().map(PathBuf::from).collect();
-    match merge_shards(&paths) {
-        Ok(merged) => send_payload(w, &merged.to_json()),
-        Err(e) => writeln!(w, "ERR merge failed: {}", sanitize(&e.to_string())),
     }
 }
 

@@ -118,57 +118,6 @@ pub fn ramindex_read(
     }
 }
 
-/// Reads one whole way of a data RAM beat-by-beat through
-/// [`ramindex_read`], returning the way's bytes in beat order — the
-/// readout unit the attack's voted multi-pass extraction re-reads
-/// selectively. Byte-for-byte identical to issuing every beat
-/// individually (it *is* every beat, issued in order).
-///
-/// # Errors
-///
-/// Same classes as [`ramindex_read`]; the first failing beat aborts the
-/// read.
-pub fn ramindex_read_way(
-    cache: &Cache,
-    way: u8,
-    trustzone_enforced: bool,
-    requester_secure: bool,
-) -> Result<Vec<u8>, SocError> {
-    let mut bytes = Vec::new();
-    ramindex_read_way_into(cache, way, trustzone_enforced, requester_secure, &mut bytes)?;
-    Ok(bytes)
-}
-
-/// [`ramindex_read_way`] appending into a caller-supplied buffer
-/// instead of allocating one — the voted multi-pass extraction re-reads
-/// the same ways thousands of times per campaign and recycles its dump
-/// buffers through an arena, so the read itself must not allocate.
-/// `out` is *not* cleared; the way's bytes are appended.
-///
-/// # Errors
-///
-/// Same classes as [`ramindex_read_way`]; on error `out` holds the
-/// beats read before the failure.
-pub fn ramindex_read_way_into(
-    cache: &Cache,
-    way: u8,
-    trustzone_enforced: bool,
-    requester_secure: bool,
-    out: &mut Vec<u8>,
-) -> Result<(), SocError> {
-    let geometry = cache.geometry();
-    let beats = geometry.sets() * geometry.line_bytes / RAMINDEX_BEAT_BYTES;
-    out.reserve(geometry.sets() * geometry.line_bytes);
-    for beat in 0..beats {
-        let words =
-            ramindex_read(cache, true, way, beat as u32, trustzone_enforced, requester_secure)?;
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-    Ok(())
-}
-
 /// A JTAG debug port with direct physical-memory access.
 ///
 /// Whether the port exists (and survives fusing) is a device property;
@@ -224,33 +173,6 @@ mod tests {
         assert_eq!(beat0[0], u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]));
         let beat1 = ramindex_read(&c, true, 1, 1, false, false).unwrap();
         assert_eq!(beat1[0], u64::from_le_bytes([32, 33, 34, 35, 36, 37, 38, 39]));
-    }
-
-    #[test]
-    fn way_read_equals_the_beat_loop() {
-        let mut c = cache_with_line();
-        let line: Vec<u8> = (0u8..64).collect();
-        c.load_line_raw(5, 0, 0x9, true, &line).unwrap();
-        let way = ramindex_read_way(&c, 0, false, false).unwrap();
-        let geometry = c.geometry();
-        assert_eq!(way.len(), geometry.sets() * geometry.line_bytes);
-        let mut manual = Vec::new();
-        for beat in 0..way.len() / RAMINDEX_BEAT_BYTES {
-            for w in ramindex_read(&c, true, 0, beat as u32, false, false).unwrap() {
-                manual.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        assert_eq!(way, manual, "whole-way read must match per-beat reads exactly");
-        assert_eq!(&way[5 * 64..5 * 64 + 64], &line[..], "the loaded line is where set 5 lives");
-    }
-
-    #[test]
-    fn way_read_rejects_bad_way() {
-        let c = cache_with_line();
-        assert!(matches!(
-            ramindex_read_way(&c, 9, false, false),
-            Err(SocError::RamIndexOutOfRange { .. })
-        ));
     }
 
     #[test]

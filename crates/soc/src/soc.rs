@@ -2,7 +2,7 @@
 
 use crate::boot::{BootOutcome, BootPolicy, BootRom, BootSource};
 use crate::cache::{Backing, Cache, SecurityState};
-use crate::debug::{ramindex_read, Jtag, RamId};
+use crate::debug::{ramindex_read, Jtag, RamId, RAMINDEX_BEAT_BYTES};
 use crate::dram::Dram;
 use crate::error::SocError;
 use crate::iram::Iram;
@@ -900,57 +900,25 @@ impl Soc {
     }
 
     /// Reads one whole readout unit — a data-RAM way, or the full
-    /// TLB/BTB entry RAM — through the `RAMINDEX` path, returning its
-    /// bytes in index order. This is the granularity the voted
-    /// multi-pass extraction re-reads selectively; issuing the
-    /// individual [`Soc::ramindex`] beats yields identical bytes.
+    /// TLB/BTB entry RAM — into `out` (cleared first): every
+    /// [`Soc::ramindex`] beat of the unit in index order, keeping all
+    /// four data registers of a data-RAM beat and the first of an entry
+    /// beat, so the bytes equal the individual beats' by construction.
+    /// This is the granule the attack's extraction reads and its voted
+    /// multi-pass readout re-reads selectively, into dump buffers it
+    /// recycles through an arena.
+    ///
+    /// Records a `soc.ramindex.unit_reads` counter and a
+    /// `soc.ramindex.unit_bytes` histogram of readout sizes. No virtual
+    /// time passes here — the attack layer owns extraction timing (its
+    /// `attack.extract` step advances the modelled dump duration per
+    /// image).
     ///
     /// # Errors
     ///
-    /// Same classes as [`Soc::ramindex`]. Tag RAMs are not readable as
-    /// a unit ([`SocError::UnknownRamId`]).
-    pub fn ramindex_unit(
-        &self,
-        core: usize,
-        ram: RamId,
-        way: u8,
-        requester_secure: bool,
-    ) -> Result<Vec<u8>, SocError> {
-        self.ramindex_unit_traced(core, ram, way, requester_secure, &Recorder::disabled())
-    }
-
-    /// [`Soc::ramindex_unit`] with telemetry: a `soc.ramindex.unit_reads`
-    /// counter and a `soc.ramindex.unit_bytes` histogram of readout
-    /// sizes. No virtual time passes here — the attack layer owns
-    /// extraction timing (its `attack.extract` step advances the
-    /// modelled dump duration per image).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Soc::ramindex_unit`].
-    pub fn ramindex_unit_traced(
-        &self,
-        core: usize,
-        ram: RamId,
-        way: u8,
-        requester_secure: bool,
-        rec: &Recorder,
-    ) -> Result<Vec<u8>, SocError> {
-        let mut bytes = Vec::new();
-        self.ramindex_unit_into(core, ram, way, requester_secure, rec, &mut bytes)?;
-        Ok(bytes)
-    }
-
-    /// [`Soc::ramindex_unit_traced`] reading into a caller-supplied
-    /// buffer (cleared first) instead of allocating one per read — the
-    /// allocation-free entry point the voted multi-pass extraction
-    /// drives with arena-recycled dump buffers. Bytes and telemetry are
-    /// identical to [`Soc::ramindex_unit_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Soc::ramindex_unit`]; on error `out`'s contents are
-    /// unspecified (a partial read).
+    /// Same classes as [`Soc::ramindex`], from the first failing beat
+    /// (`out` then holds the beats before it). Tag RAMs are not readable
+    /// as a unit ([`SocError::UnknownRamId`]).
     pub fn ramindex_unit_into(
         &self,
         core: usize,
@@ -961,49 +929,31 @@ impl Soc {
         out: &mut Vec<u8>,
     ) -> Result<(), SocError> {
         out.clear();
-        self.ramindex_unit_inner(core, ram, way, requester_secure, out)?;
-        rec.incr("soc.ramindex.unit_reads", 1);
-        rec.record("soc.ramindex.unit_bytes", out.len() as u64);
-        Ok(())
-    }
-
-    fn ramindex_unit_inner(
-        &self,
-        core: usize,
-        ram: RamId,
-        way: u8,
-        requester_secure: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SocError> {
         let c = self.core(core)?;
-        let cache = match ram {
-            RamId::L1IData => &c.l1i,
-            RamId::L1DData => &c.l1d,
-            RamId::Tlb => {
-                out.reserve(crate::tlb::TLB_ENTRIES * 8);
-                for entry in 0..crate::tlb::TLB_ENTRIES {
-                    out.extend_from_slice(&c.tlb.entry_word(entry)?.to_le_bytes());
-                }
-                return Ok(());
-            }
-            RamId::Btb => {
-                out.reserve(crate::btb::BTB_ENTRIES * 8);
-                for entry in 0..crate::btb::BTB_ENTRIES {
-                    out.extend_from_slice(&c.btb.entry_word(entry)?.to_le_bytes());
-                }
-                return Ok(());
-            }
+        let way_beats = |cache: &Cache| {
+            let geometry = cache.geometry();
+            geometry.sets() * geometry.line_bytes / RAMINDEX_BEAT_BYTES
+        };
+        // The unit's beats, and how many data registers each one fills.
+        let (beats, registers) = match ram {
+            RamId::L1IData => (way_beats(&c.l1i), 4),
+            RamId::L1DData => (way_beats(&c.l1d), 4),
+            RamId::Tlb => (crate::tlb::TLB_ENTRIES, 1),
+            RamId::Btb => (crate::btb::BTB_ENTRIES, 1),
             RamId::L1ITag | RamId::L1DTag => {
                 return Err(SocError::UnknownRamId { ramid: ram.code() })
             }
         };
-        crate::debug::ramindex_read_way_into(
-            cache,
-            way,
-            self.policy.trustzone_enforced,
-            requester_secure,
-            out,
-        )
+        out.reserve(beats * registers * 8);
+        for index in 0..beats {
+            let beat = self.ramindex(core, ram, way, index as u32, requester_secure)?;
+            for word in &beat[..registers] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        rec.incr("soc.ramindex.unit_reads", 1);
+        rec.record("soc.ramindex.unit_bytes", out.len() as u64);
+        Ok(())
     }
 
     /// Reads physical memory over JTAG (iRAM or DRAM), bypassing the CPU.
@@ -1480,6 +1430,29 @@ mod tests {
             }
         }
         assert!(found, "expected the 0xAB line in set 0");
+    }
+
+    #[test]
+    fn unit_read_walks_the_way_in_beat_order() {
+        let mut soc = pi4();
+        let line: Vec<u8> = (0u8..64).collect();
+        soc.core_mut(0).unwrap().l1d.load_line_raw(5, 0, 0x9, true, &line).unwrap();
+        let mut way = Vec::new();
+        soc.ramindex_unit_into(0, RamId::L1DData, 0, false, &Recorder::disabled(), &mut way)
+            .unwrap();
+        let geometry = soc.core(0).unwrap().l1d.geometry();
+        assert_eq!(way.len(), geometry.sets() * geometry.line_bytes);
+        assert_eq!(&way[5 * 64..5 * 64 + 64], &line[..], "the loaded line is where set 5 lives");
+    }
+
+    #[test]
+    fn unit_read_rejects_bad_way_and_tag_rams() {
+        let soc = pi4();
+        let mut out = Vec::new();
+        let mut read =
+            |ram, way| soc.ramindex_unit_into(0, ram, way, false, &Recorder::disabled(), &mut out);
+        assert!(matches!(read(RamId::L1DData, 9), Err(SocError::RamIndexOutOfRange { .. })));
+        assert!(matches!(read(RamId::L1ITag, 0), Err(SocError::UnknownRamId { ramid: 0x00 })));
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod fleet;
-pub mod imprint;
 pub mod par;
 pub mod physics;
 pub mod puf;

@@ -50,12 +50,14 @@ fn extraction_of_every_surface_in_one_session() {
     let outcome = VoltBootAttack::new("TP15").execute(&mut soc).unwrap();
     assert!(!outcome.images.is_empty());
     // The probe is still attached; further reads need no new cycle.
-    for images in [
-        voltboot::attack::extract_caches(&soc, &[0, 1, 2, 3]).unwrap(),
-        voltboot::attack::extract_registers(&soc, &[0, 1, 2, 3]).unwrap(),
-        voltboot::attack::extract_tlbs(&soc, &[0, 1, 2, 3]).unwrap(),
-        voltboot::attack::extract_btbs(&soc, &[0, 1, 2, 3]).unwrap(),
+    let cores = || vec![0, 1, 2, 3];
+    for plan in [
+        Extraction::Caches { cores: cores() },
+        Extraction::Registers { cores: cores() },
+        Extraction::Tlbs { cores: cores() },
+        Extraction::Btbs { cores: cores() },
     ] {
+        let images = plan.read(&soc).unwrap();
         assert_eq!(images.len() % 4, 0);
         for img in images {
             assert!(!img.bits.is_empty(), "{}", img.source);

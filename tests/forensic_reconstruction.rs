@@ -51,8 +51,8 @@ fn one_attack_reconstructs_code_data_addresses_and_control_flow() {
         .extraction(Extraction::Caches { cores: vec![0] })
         .execute(&mut soc)
         .unwrap();
-    let tlb = voltboot::attack::extract_tlbs(&soc, &[0]).unwrap();
-    let btb = voltboot::attack::extract_btbs(&soc, &[0]).unwrap();
+    let tlb = Extraction::Tlbs { cores: vec![0] }.read(&soc).unwrap();
+    let btb = Extraction::Btbs { cores: vec![0] }.read(&soc).unwrap();
 
     // 1. The secret data, from the d-cache, via a strings pass.
     let mut all_strings = Vec::new();

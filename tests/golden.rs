@@ -5,7 +5,8 @@
 //!   the block `repro all` prints, so a change that moves a result fails
 //!   here instead of silently editing the document.
 //! * One daemon job's report, its three trace exports and its checkpoint
-//!   files are pinned by CRC-64, as voltbench pins the report.
+//!   files are pinned by CRC-64, as voltbench pins the report; so is a
+//!   single-pass (`passes=1`) campaign's report, faults included.
 //! * The SRAM power-up statistics an SRAM PUF relies on hold on any die.
 
 use voltboot::campaign::ShardRange;
@@ -90,6 +91,28 @@ fn daemon_job_report_and_trace_exports_are_pinned() {
         pinned("shard [1, 2)", 0xe694_7131_580f_eec6, 9_456);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn single_pass_campaign_report_is_pinned() {
+    // One read per unit: a dropout fails the attempt and wire noise flips
+    // the bits it reads, with no vote to repair them.
+    let spec = SweepSpec::parse(
+        "platform=pi4 reps=4 passes=1 rate=0.3 die_seed=138020237319 \
+         fault_seed=8730458488217041534 temp_c=25 off_ms=0"
+            .split(' '),
+    )
+    .expect("the spec parses");
+    let result = spec.campaign().run_parallel(spec.threads, spec.victim());
+    for fault in ["extraction_dropout", "readout_bit_error"] {
+        assert!(
+            result.records.iter().any(|r| r.faults_fired.iter().any(|f| f == fault)),
+            "no rep fired {fault}"
+        );
+    }
+    assert!(result.recorder.counter("attack.fault.readout_bits_flipped") > 0, "no bit flipped");
+    assert_eq!(result.recorder.counter("soc.ramindex.unit_reads"), 0, "single-pass reads untraced");
+    assert_eq!(crc64(result.to_json().as_bytes()), 0x6297_bbb5_0c74_9a25, "report");
 }
 
 #[test]
